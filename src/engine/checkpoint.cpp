@@ -14,7 +14,9 @@ constexpr char kMagic[8] = {'S', 'V', 'A', 'C', 'K', 'P', 'T', '1'};
 // v2: the signature checkpoint carries the association matrix and the
 // final checkpoint the padded PCA basis, so a resumed run exports
 // bundles carrying the same frozen model as the original run.
-constexpr std::uint64_t kFormatVersion = 2;
+// v3: the engine configuration (and so the fingerprint every stage file
+// records) no longer carries the claim-ordering flag.
+constexpr std::uint64_t kFormatVersion = 3;
 
 const char* kStageFiles[] = {"ingest.svack", "signatures.svack", "cluster.svack",
                              "final.svack"};

@@ -40,7 +40,6 @@ std::vector<std::uint8_t> encode_engine_config(const EngineConfig& config) {
   const auto& idx = config.indexing;
   w.u64(static_cast<std::uint64_t>(idx.scheduling));
   w.u64(idx.chunk_fields);
-  w.u64(idx.vtime_ordered_claims ? 1 : 0);
 
   const auto& top = config.topicality;
   w.u64(top.num_major_terms);
@@ -96,7 +95,6 @@ EngineConfig decode_engine_config(std::span<const std::uint8_t> bytes) {
   auto& idx = config.indexing;
   idx.scheduling = static_cast<ga::Scheduling>(r.u64());
   idx.chunk_fields = static_cast<std::size_t>(r.u64());
-  idx.vtime_ordered_claims = r.u64() != 0;
 
   auto& top = config.topicality;
   top.num_major_terms = static_cast<std::size_t>(r.u64());

@@ -16,7 +16,8 @@
 // model itself — the major-term strings, the association matrix and the
 // padded PCA basis, plus the full sorted vocabulary and the serialized
 // engine configuration — so a later `engine::ingest_delta` can extend
-// the bundle without the run that produced it.
+// the bundle without the run that produced it.  Version 3 drops the
+// claim-ordering flag from the serialized engine configuration.
 //
 // The paper's pipeline ends when rank 0 writes the projected coordinates;
 // the ROADMAP's serving workload starts after that: build once, persist,
@@ -44,9 +45,9 @@
 namespace sva::engine {
 
 inline constexpr char kBundleMagic[8] = {'S', 'V', 'A', 'B', 'N', 'D', 'L', '1'};
-inline constexpr std::uint64_t kBundleFormatVersion = 2;
+inline constexpr std::uint64_t kBundleFormatVersion = 3;
 
-/// Generation metadata carried by every version-2 bundle.  The
+/// Generation metadata carried by every bundle since version 2.  The
 /// "generation" section stores these as fixed-width 8-byte words (not
 /// varbyte), so the parent link lives at a stable offset.
 struct GenerationInfo {

@@ -36,6 +36,15 @@ struct CommModel {
   /// scaling no matter how well the compute partitions.
   bool io_parallel = true;
   double compute_scale = 1.0;     ///< multiplier applied to thread-CPU time
+  /// Grant every task-queue claim in (virtual time, rank) order through a
+  /// ga::ClaimGate.  Simulated ranks are host threads or processes that
+  /// the OS schedules arbitrarily; on an oversubscribed host one of them
+  /// can drain a dynamic queue before its peers run, so modeled load
+  /// balance (Fig. 9) is faithful to a concurrent cluster only with the
+  /// gate on.  It serializes claims in real time, so worlds that report
+  /// host wall time leave it off.  Needs shared memory: a Backend::kSocket
+  /// world with this set fails at launch with InvalidArgument.
+  bool vtime_ordered_claims = false;
 
   // ---- host execution tuning -------------------------------------------
   // These knobs steer the *host* fast path of the runtime (see
@@ -131,10 +140,12 @@ struct CommModel {
 /// Preset approximating the paper's testbed: dual 1.5 GHz Itanium2 nodes.
 /// The compute scale maps a modern core's thread-CPU seconds onto the
 /// (slower) 2007 processor so the modeled minutes land in the paper's
-/// ballpark; relative shapes are unaffected by this constant.
+/// ballpark; relative shapes are unaffected by this constant.  Queue
+/// claims are vtime-ordered, since the cluster's ranks run concurrently.
 inline CommModel itanium_cluster_model() {
   CommModel m;
   m.compute_scale = 6.0;
+  m.vtime_ordered_claims = true;
   return m;
 }
 

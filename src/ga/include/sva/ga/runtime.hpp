@@ -331,8 +331,8 @@ void Context::broadcast(T* data, std::size_t count, int root) {
   if (rank_ == root) publish(par, data, bytes, staged);
   sync_round();
   if (rank_ != root) {
-    const T* src = static_cast<const T*>(
-        world_.transport().peers(par)[static_cast<std::size_t>(root)].ptr);
+    const T* src = detail::slot_as<T>(
+        world_.transport().peers(par)[static_cast<std::size_t>(root)]);
     std::copy(src, src + count, data);
   }
   if (!staged) fence_round();  // root's buffer may be reused after return
@@ -357,10 +357,10 @@ void Context::allreduce(T* data, std::size_t count, Op op) {
     sync_round([&] {
       tp.ensure_reduce_capacity(bytes);
       T* acc = static_cast<T*>(tp.reduce_base());
-      const T* first = static_cast<const T*>(slots[0].ptr);
+      const T* first = detail::slot_as<T>(slots[0]);
       std::copy(first, first + count, acc);
       for (int r = 1; r < np; ++r) {
-        const T* src = static_cast<const T*>(slots[static_cast<std::size_t>(r)].ptr);
+        const T* src = detail::slot_as<T>(slots[static_cast<std::size_t>(r)]);
         for (std::size_t i = 0; i < count; ++i) acc[i] = op(acc[i], src[i]);
       }
     });
@@ -383,9 +383,9 @@ void Context::allreduce(T* data, std::size_t count, Op op) {
     const std::size_t mine = ee - eb;
     T* acc = static_cast<T*>(tp.reduce_base());
     for (std::size_t i = 0; i < mine; ++i) {
-      T v = static_cast<const T*>(slots[0].ptr)[i];
+      T v = detail::slot_as<T>(slots[0])[i];
       for (int r = 1; r < np; ++r) {
-        v = op(v, static_cast<const T*>(slots[static_cast<std::size_t>(r)].ptr)[i]);
+        v = op(v, detail::slot_as<T>(slots[static_cast<std::size_t>(r)])[i]);
       }
       acc[i] = v;
     }
@@ -396,7 +396,7 @@ void Context::allreduce(T* data, std::size_t count, Op op) {
     std::size_t cursor = 0;
     for (int r = 0; r < np; ++r) {
       const auto& s = blocks[static_cast<std::size_t>(r)];
-      const T* src = static_cast<const T*>(s.ptr);
+      const T* src = detail::slot_as<T>(s);
       std::copy(src, src + s.bytes / sizeof(T), data + cursor);
       cursor += s.bytes / sizeof(T);
     }
@@ -412,11 +412,11 @@ void Context::allreduce(T* data, std::size_t count, Op op) {
     sync_round([&] { tp.ensure_reduce_capacity(bytes); });
     const auto [eb, ee] = element_block(count, rank_, np);
     T* acc = static_cast<T*>(tp.reduce_base());
-    const T* first = static_cast<const T*>(slots[0].ptr);
+    const T* first = detail::slot_as<T>(slots[0]);
     for (std::size_t i = eb; i < ee; ++i) {
       T v = first[i];
       for (int r = 1; r < np; ++r) {
-        v = op(v, static_cast<const T*>(slots[static_cast<std::size_t>(r)].ptr)[i]);
+        v = op(v, detail::slot_as<T>(slots[static_cast<std::size_t>(r)])[i]);
       }
       acc[i] = v;
     }
@@ -437,8 +437,7 @@ std::vector<T> Context::allgather(const T& value) {
   sync_round();
   const detail::PeerSlot* slots = world_.transport().peers(par);
   for (int r = 0; r < nprocs(); ++r) {
-    out[static_cast<std::size_t>(r)] =
-        *static_cast<const T*>(slots[static_cast<std::size_t>(r)].ptr);
+    out[static_cast<std::size_t>(r)] = *detail::slot_as<T>(slots[static_cast<std::size_t>(r)]);
   }
   finish_round(cost);
   return out;
@@ -468,7 +467,7 @@ std::vector<T> Context::allgatherv(std::span<const T> mine) {
   for (int r = 0; r < nprocs(); ++r) {
     const auto& s = slots[static_cast<std::size_t>(r)];
     if (s.bytes == 0) continue;
-    const T* src = static_cast<const T*>(s.ptr);
+    const T* src = detail::slot_as<T>(s);
     out.insert(out.end(), src, src + s.bytes / sizeof(T));
   }
   if (any_raw) fence_round();
@@ -503,7 +502,7 @@ std::vector<T> Context::gatherv(std::span<const T> mine, int root) {
     for (int r = 0; r < nprocs(); ++r) {
       const auto& s = slots[static_cast<std::size_t>(r)];
       if (s.bytes == 0) continue;
-      const T* src = static_cast<const T*>(s.ptr);
+      const T* src = detail::slot_as<T>(s);
       out.insert(out.end(), src, src + s.bytes / sizeof(T));
     }
   }
@@ -525,7 +524,7 @@ T Context::exscan_sum(const T& value) {
   const detail::PeerSlot* slots = world_.transport().peers(par);
   T acc{};
   for (int r = 0; r < rank_; ++r) {
-    acc = acc + *static_cast<const T*>(slots[static_cast<std::size_t>(r)].ptr);
+    acc = acc + *detail::slot_as<T>(slots[static_cast<std::size_t>(r)]);
   }
   finish_round(cost);
   return acc;

@@ -41,23 +41,18 @@ struct TaskChunk {
 /// nullopt (the standard drain loop); a rank that abandons the queue
 /// early would stall peers with larger virtual times.
 ///
-/// The per-rank claim cells live in a transport-shared region under the
-/// thread and process backends: ranks publish their (state, vtime) cell
-/// lock-free and park on a generation futex word until the grant
-/// condition holds.  Under the socket backend no shared memory exists, so
-/// rank 0 hosts the cells behind a one-sided window: ranks publish and
-/// snapshot them by request/reply and poll the grant condition (the
-/// ordering rule — and therefore every virtual-time result — is
-/// identical).
+/// The per-rank claim cells live in a transport-shared region (thread and
+/// process backends): ranks publish their (state, vtime) cell lock-free
+/// and park on a generation futex word until the grant condition holds.
+/// Queues attach a gate when the world's CommModel asks for vtime-ordered
+/// claims; spmd_run rejects that model on the socket backend.
 class ClaimGate {
  public:
-  /// Collective: allocates the claim cells in a shared region (or, on the
-  /// socket backend, registers the rank-0-hosted window).  The cells are
-  /// zero-init-valid, so no construction round is needed; every rank gets
-  /// its own (cheap) handle onto the same cell table.
+  /// Collective: null when the world's CommModel leaves claims unordered;
+  /// otherwise allocates the claim cells in a shared region.  The cells
+  /// are zero-init-valid, so no construction round is needed; every rank
+  /// gets its own (cheap) handle onto the same cell table.
   static std::shared_ptr<ClaimGate> create(Context& ctx);
-
-  ~ClaimGate();
 
   /// Blocks until this rank holds the minimal (vtime, rank) key among
   /// active ranks.  Throws ProtocolError if the world aborts.
@@ -77,35 +72,21 @@ class ClaimGate {
   enum : std::uint32_t { kUnseen = 0, kWaiting = 1, kProcessing = 2, kDone = 3 };
 
   ClaimGate(std::shared_ptr<void> region, detail::LockEnv env, int nprocs);
-  ClaimGate(Transport& transport, int rank, int nprocs);  // windowed (socket)
 
   [[nodiscard]] bool may_grant(int rank) const;
   void bump_generation();
-
-  // Windowed-mode plumbing: publish this rank's cell / snapshot all cells
-  // through the rank-0 window, and the grant rule over a snapshot.
-  void windowed_set(std::uint32_t state, double vtime);
-  static bool may_grant_snapshot(const std::vector<std::pair<std::uint32_t, double>>& cells,
-                                 int rank, double my_vtime);
 
   std::shared_ptr<void> region_;
   detail::LockEnv env_;
   int nprocs_;
   std::uint32_t* generation_ = nullptr;  ///< futex word waiters park on
   Cell* cells_ = nullptr;
-
-  // Windowed (socket) mode.
-  Transport* transport_ = nullptr;
-  std::uint64_t window_ = 0;
-  int my_rank_ = 0;
-  bool done_ = false;  ///< post-drain probes skip the gate
-  std::mutex host_mu_;  ///< rank 0: orders the I/O thread against itself
-  std::vector<std::pair<std::uint32_t, double>> host_cells_;  ///< rank 0 hosts
 };
 
 /// Interface for chunk schedulers.  next() claims the next chunk or
-/// returns nullopt when the queue is drained; when the queue was created
-/// with vtime ordering, claims are funneled through a ClaimGate first.
+/// returns nullopt when the queue is drained; when the world's CommModel
+/// asks for vtime-ordered claims, they are funneled through a ClaimGate
+/// first.
 class TaskQueue {
  public:
   virtual ~TaskQueue() = default;
@@ -119,9 +100,10 @@ class TaskQueue {
   /// Strategy-specific claim, called with gate ordering already applied.
   virtual std::optional<TaskChunk> claim(Context& ctx) = 0;
 
-  /// Attaches a gate created collectively (ClaimGate::create) *before*
-  /// the queue's collective_create factory ran — the factory itself must
-  /// not issue collectives (see Context::collective_create).
+  /// Attaches a gate created collectively (ClaimGate::create, possibly
+  /// null) *before* the queue's collective_create factory ran — the
+  /// factory itself must not issue collectives (see
+  /// Context::collective_create).
   void enable_vtime_order(std::shared_ptr<ClaimGate> gate) { gate_ = std::move(gate); }
 
  private:
@@ -138,8 +120,7 @@ class AtomicCounterQueue : public TaskQueue {
   /// Collective: creates a queue over `num_tasks` tasks with the given
   /// chunk size.
   static std::shared_ptr<AtomicCounterQueue> create(Context& ctx, std::size_t num_tasks,
-                                                    std::size_t chunk_size,
-                                                    bool vtime_ordered = false);
+                                                    std::size_t chunk_size);
 
   [[nodiscard]] std::size_t num_tasks() const override { return num_tasks_; }
   [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
@@ -166,8 +147,7 @@ class AtomicCounterQueue : public TaskQueue {
 class MasterWorkerQueue : public TaskQueue {
  public:
   static std::shared_ptr<MasterWorkerQueue> create(Context& ctx, std::size_t num_tasks,
-                                                   std::size_t chunk_size,
-                                                   bool vtime_ordered = false);
+                                                   std::size_t chunk_size);
 
   [[nodiscard]] std::size_t num_tasks() const override { return num_tasks_; }
 
@@ -211,8 +191,7 @@ class MasterWorkerQueue : public TaskQueue {
 /// 1/P share, mimicking no load balancing at all (the Figure 9 baseline).
 class StaticPartitionQueue : public TaskQueue {
  public:
-  static std::shared_ptr<StaticPartitionQueue> create(Context& ctx, std::size_t num_tasks,
-                                                      bool vtime_ordered = false);
+  static std::shared_ptr<StaticPartitionQueue> create(Context& ctx, std::size_t num_tasks);
 
   [[nodiscard]] std::size_t num_tasks() const override { return num_tasks_; }
 
@@ -240,7 +219,7 @@ class OwnerFirstChunkQueue : public TaskQueue {
   /// r; interval union must cover the queue's task space.
   static std::shared_ptr<OwnerFirstChunkQueue> create(
       Context& ctx, std::vector<std::pair<std::size_t, std::size_t>> ranges,
-      std::size_t chunk_size, bool vtime_ordered = false);
+      std::size_t chunk_size);
 
   [[nodiscard]] std::size_t num_tasks() const override { return num_tasks_; }
 
@@ -269,13 +248,12 @@ enum class Scheduling {
 };
 
 /// Factory used by the indexing component.  `ranges` (per-rank ownership)
-/// is required by kOwnerFirst; other strategies ignore it.  With
-/// `vtime_ordered` true, claims are granted in virtual-time order via a
-/// ClaimGate (see its protocol note: every rank must drain to nullopt).
+/// is required by kOwnerFirst; other strategies ignore it.  Claims are
+/// gated as the world's CommModel says (see ClaimGate's protocol note:
+/// every rank must drain to nullopt).
 std::shared_ptr<TaskQueue> make_task_queue(
     Context& ctx, Scheduling scheduling, std::size_t num_tasks, std::size_t chunk_size,
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges = {},
-    bool vtime_ordered = false);
+    const std::vector<std::pair<std::size_t, std::size_t>>& ranges = {});
 
 const char* scheduling_name(Scheduling s);
 

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -129,6 +130,17 @@ struct alignas(kCacheLine) PeerSlot {
   /// departure fence before the contributor reuses its own buffer.
   bool copied = false;
 };
+
+/// A peer's published payload as an array of T.  Every backend keeps
+/// payloads aligned for the scalars the typed collectives read in place
+/// (the socket frame pads its round prefix to 16 bytes for this); debug
+/// builds check it on every read.
+template <typename T>
+const T* slot_as(const PeerSlot& slot) {
+  assert(reinterpret_cast<std::uintptr_t>(slot.ptr) % alignof(T) == 0 &&
+         "PeerSlot payload misaligned for its element type");
+  return static_cast<const T*>(slot.ptr);
+}
 
 /// Waits on a 32-bit word until it changes from `expected`, a wake
 /// arrives, or ~`timeout_ms` elapses (spurious returns are fine: callers

@@ -128,6 +128,10 @@ SpmdResult run_thread_world(World& world, const std::function<void(Context&)>& f
 SpmdResult spmd_run(const SpmdOptions& options, const std::function<void(Context&)>& fn) {
   require(options.nprocs >= 1 && options.nprocs <= 4096,
           "spmd_run: nprocs out of range [1, 4096]");
+  // The claim gate parks ranks on cells in shared memory.
+  require(options.backend != Backend::kSocket || !options.comm_model.vtime_ordered_claims,
+          "spmd_run: CommModel::vtime_ordered_claims needs shared memory; "
+          "Backend::kSocket cannot order claims");
   World world(options);
   if (options.backend == Backend::kProcess) {
     return detail::run_process_world(world, fn);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace sva::ga {
 
@@ -30,19 +28,12 @@ double wire_get_f64(const std::uint8_t* in) {
   return v;
 }
 
-// ClaimGate window ops.
-constexpr std::uint8_t kGateSet = 1;   // {op, u64 rank, u8 state, f64 vtime}
-constexpr std::uint8_t kGateSnap = 2;  // {op} -> nprocs * {u8 state, f64 vtime}
-
 }  // namespace
 
 // ---- ClaimGate -------------------------------------------------------------
 
 std::shared_ptr<ClaimGate> ClaimGate::create(Context& ctx) {
-  Transport& tp = ctx.world().transport();
-  if (!tp.shared_regions()) {
-    return std::shared_ptr<ClaimGate>(new ClaimGate(tp, ctx.rank(), ctx.nprocs()));
-  }
+  if (!ctx.model().vtime_ordered_claims) return nullptr;
   const auto np = static_cast<std::size_t>(ctx.nprocs());
   // Layout: [generation word, padded to a line][Cell × nprocs].
   const std::size_t bytes = detail::kCacheLine + np * sizeof(Cell);
@@ -56,71 +47,6 @@ ClaimGate::ClaimGate(std::shared_ptr<void> region, detail::LockEnv env, int npro
   auto* base = static_cast<std::uint8_t*>(region_.get());
   generation_ = reinterpret_cast<std::uint32_t*>(base);
   cells_ = reinterpret_cast<Cell*>(base + detail::kCacheLine);
-}
-
-ClaimGate::ClaimGate(Transport& transport, int rank, int nprocs)
-    : nprocs_(nprocs), transport_(&transport), my_rank_(rank) {
-  host_cells_.assign(static_cast<std::size_t>(nprocs), {kUnseen, 0.0});
-  // Registered on every rank in the same collective order, so the window
-  // id is world-uniform; only rank 0's cell table is ever addressed.
-  window_ = transport_->onesided_register(
-      [this](const std::uint8_t* req, std::size_t len,
-             std::vector<std::uint8_t>& reply) {
-        require_format(len >= 1, "ClaimGate window: empty request");
-        std::lock_guard<std::mutex> lock(host_mu_);
-        if (req[0] == kGateSet) {
-          require_format(len == 18, "ClaimGate window: malformed set request");
-          const std::size_t r = wire_get_u64(req + 1);
-          require(r < host_cells_.size(), "ClaimGate window: rank out of range");
-          host_cells_[r] = {req[9], wire_get_f64(req + 10)};
-          return;
-        }
-        require_format(req[0] == kGateSnap && len == 1,
-                       "ClaimGate window: unknown request");
-        reply.resize(host_cells_.size() * 9);
-        for (std::size_t r = 0; r < host_cells_.size(); ++r) {
-          reply[r * 9] = static_cast<std::uint8_t>(host_cells_[r].first);
-          wire_put_f64(reply.data() + r * 9 + 1, host_cells_[r].second);
-        }
-      });
-}
-
-ClaimGate::~ClaimGate() {
-  if (transport_ != nullptr) transport_->onesided_unregister(window_);
-}
-
-void ClaimGate::windowed_set(std::uint32_t state, double vtime) {
-  std::uint8_t req[18];
-  req[0] = kGateSet;
-  wire_put_u64(req + 1, static_cast<std::uint64_t>(my_rank_));
-  req[9] = static_cast<std::uint8_t>(state);
-  wire_put_f64(req + 10, vtime);
-  std::vector<std::uint8_t> reply;
-  transport_->onesided_call(0, window_, req, sizeof req, reply);
-}
-
-bool ClaimGate::may_grant_snapshot(
-    const std::vector<std::pair<std::uint32_t, double>>& cells, int rank,
-    double my_vtime) {
-  for (std::size_t s = 0; s < cells.size(); ++s) {
-    if (s == static_cast<std::size_t>(rank)) continue;
-    switch (cells[s].first) {
-      case kUnseen:
-        return false;
-      case kWaiting:
-      case kProcessing: {
-        const double v = cells[s].second;
-        if (v < my_vtime || (v == my_vtime && s < static_cast<std::size_t>(rank))) {
-          return false;
-        }
-        break;
-      }
-      case kDone:
-      default:
-        break;
-    }
-  }
-  return true;
 }
 
 void ClaimGate::bump_generation() {
@@ -160,32 +86,6 @@ bool ClaimGate::may_grant(int rank) const {
 }
 
 void ClaimGate::enter(Context& ctx) {
-  if (transport_ != nullptr) {
-    // Windowed (socket) mode: publish our cell, then poll snapshots until
-    // the identical (vtime, rank) grant rule holds.
-    if (done_) return;  // post-drain probes skip the gate
-    const double now = ctx.vtime();
-    windowed_set(kWaiting, now);
-    for (;;) {
-      std::vector<std::uint8_t> snap;
-      const std::uint8_t op = kGateSnap;
-      transport_->onesided_call(0, window_, &op, 1, snap);
-      require(snap.size() == static_cast<std::size_t>(nprocs_) * 9,
-              "ClaimGate: malformed snapshot reply");
-      std::vector<std::pair<std::uint32_t, double>> cells(
-          static_cast<std::size_t>(nprocs_));
-      for (std::size_t s = 0; s < cells.size(); ++s) {
-        cells[s] = {snap[s * 9], wire_get_f64(snap.data() + s * 9 + 1)};
-      }
-      if (may_grant_snapshot(cells, my_rank_, now)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      if (ctx.world_aborted()) {
-        throw ProtocolError("ClaimGate: world aborted while waiting for a claim");
-      }
-    }
-    windowed_set(kProcessing, now);
-    return;
-  }
   const auto r = static_cast<std::size_t>(ctx.rank());
   Cell& me = cells_[r];
   std::atomic_ref<std::uint32_t> state(me.state);
@@ -216,11 +116,6 @@ void ClaimGate::enter(Context& ctx) {
 }
 
 void ClaimGate::finish(Context& ctx) {
-  if (transport_ != nullptr) {
-    done_ = true;
-    windowed_set(kDone, 0.0);
-    return;
-  }
   const auto r = static_cast<std::size_t>(ctx.rank());
   std::atomic_ref<std::uint32_t>(cells_[r].state).store(kDone, std::memory_order_release);
   bump_generation();
@@ -246,17 +141,15 @@ AtomicCounterQueue::AtomicCounterQueue(GlobalArray<std::int64_t> counter,
 
 std::shared_ptr<AtomicCounterQueue> AtomicCounterQueue::create(Context& ctx,
                                                                std::size_t num_tasks,
-                                                               std::size_t chunk_size,
-                                                               bool vtime_ordered) {
+                                                               std::size_t chunk_size) {
   // Collective sub-steps run before the factory: under the process
   // backend every rank executes the factory, which therefore must not
   // issue collectives of its own.
   auto counter = GlobalArray<std::int64_t>::create(ctx, 1);
-  std::shared_ptr<ClaimGate> gate;
-  if (vtime_ordered) gate = ClaimGate::create(ctx);
+  const auto gate = ClaimGate::create(ctx);
   return ctx.collective_create<AtomicCounterQueue>([&]() {
     auto q = std::make_shared<AtomicCounterQueue>(counter, num_tasks, chunk_size);
-    if (gate) q->enable_vtime_order(gate);
+    q->enable_vtime_order(gate);
     return q;
   });
 }
@@ -320,26 +213,21 @@ MasterWorkerQueue::~MasterWorkerQueue() {
 
 std::shared_ptr<MasterWorkerQueue> MasterWorkerQueue::create(Context& ctx,
                                                              std::size_t num_tasks,
-                                                             std::size_t chunk_size,
-                                                             bool vtime_ordered) {
+                                                             std::size_t chunk_size) {
   Transport& tp = ctx.world().transport();
   if (!tp.shared_regions()) {
-    std::shared_ptr<ClaimGate> gate;
-    if (vtime_ordered) gate = ClaimGate::create(ctx);
+    // Socket worlds never gate claims (spmd_run rejects the model).
     const double rpc_service = ctx.model().rpc_service;
     return ctx.collective_create<MasterWorkerQueue>([&]() {
-      auto q = std::make_shared<MasterWorkerQueue>(num_tasks, chunk_size, tp, rpc_service);
-      if (gate) q->enable_vtime_order(gate);
-      return q;
+      return std::make_shared<MasterWorkerQueue>(num_tasks, chunk_size, tp, rpc_service);
     });
   }
   auto region = ctx.create_shared_region(sizeof(SharedState));
-  std::shared_ptr<ClaimGate> gate;
-  if (vtime_ordered) gate = ClaimGate::create(ctx);
+  const auto gate = ClaimGate::create(ctx);
   const detail::LockEnv env = ctx.lock_env();
   return ctx.collective_create<MasterWorkerQueue>([&]() {
     auto q = std::make_shared<MasterWorkerQueue>(num_tasks, chunk_size, region, env);
-    if (gate) q->enable_vtime_order(gate);
+    q->enable_vtime_order(gate);
     return q;
   });
 }
@@ -389,13 +277,11 @@ StaticPartitionQueue::StaticPartitionQueue(std::size_t num_tasks, int nprocs)
       claimed_(static_cast<std::size_t>(nprocs), 0) {}
 
 std::shared_ptr<StaticPartitionQueue> StaticPartitionQueue::create(Context& ctx,
-                                                                   std::size_t num_tasks,
-                                                                   bool vtime_ordered) {
-  std::shared_ptr<ClaimGate> gate;
-  if (vtime_ordered) gate = ClaimGate::create(ctx);
+                                                                   std::size_t num_tasks) {
+  const auto gate = ClaimGate::create(ctx);
   return ctx.collective_create<StaticPartitionQueue>([&]() {
     auto q = std::make_shared<StaticPartitionQueue>(num_tasks, ctx.nprocs());
-    if (gate) q->enable_vtime_order(gate);
+    q->enable_vtime_order(gate);
     return q;
   });
 }
@@ -427,7 +313,7 @@ OwnerFirstChunkQueue::OwnerFirstChunkQueue(
 
 std::shared_ptr<OwnerFirstChunkQueue> OwnerFirstChunkQueue::create(
     Context& ctx, std::vector<std::pair<std::size_t, std::size_t>> ranges,
-    std::size_t chunk_size, bool vtime_ordered) {
+    std::size_t chunk_size) {
   require(ranges.size() == static_cast<std::size_t>(ctx.nprocs()),
           "OwnerFirstChunkQueue: need one range per rank");
   auto cursors = GlobalArray<std::int64_t>::create(ctx, ranges.size());
@@ -435,11 +321,10 @@ std::shared_ptr<OwnerFirstChunkQueue> OwnerFirstChunkQueue::create(
   cursors.put_value(
       ctx, static_cast<std::size_t>(ctx.rank()),
       static_cast<std::int64_t>(ranges[static_cast<std::size_t>(ctx.rank())].first));
-  std::shared_ptr<ClaimGate> gate;
-  if (vtime_ordered) gate = ClaimGate::create(ctx);
+  const auto gate = ClaimGate::create(ctx);
   auto queue = ctx.collective_create<OwnerFirstChunkQueue>([&]() {
     auto q = std::make_shared<OwnerFirstChunkQueue>(cursors, ranges, chunk_size);
-    if (gate) q->enable_vtime_order(gate);
+    q->enable_vtime_order(gate);
     return q;
   });
   ctx.barrier();  // cursors visible before anyone claims
@@ -470,10 +355,10 @@ std::optional<TaskChunk> OwnerFirstChunkQueue::claim(Context& ctx) {
 
 std::shared_ptr<TaskQueue> make_task_queue(
     Context& ctx, Scheduling scheduling, std::size_t num_tasks, std::size_t chunk_size,
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges, bool vtime_ordered) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
   switch (scheduling) {
     case Scheduling::kStatic:
-      return StaticPartitionQueue::create(ctx, num_tasks, vtime_ordered);
+      return StaticPartitionQueue::create(ctx, num_tasks);
     case Scheduling::kOwnerFirst: {
       auto owned = ranges;
       if (owned.empty()) {
@@ -485,12 +370,12 @@ std::shared_ptr<TaskQueue> make_task_queue(
           owned.emplace_back(begin, std::min(num_tasks, begin + per_rank));
         }
       }
-      return OwnerFirstChunkQueue::create(ctx, std::move(owned), chunk_size, vtime_ordered);
+      return OwnerFirstChunkQueue::create(ctx, std::move(owned), chunk_size);
     }
     case Scheduling::kAtomicCounter:
-      return AtomicCounterQueue::create(ctx, num_tasks, chunk_size, vtime_ordered);
+      return AtomicCounterQueue::create(ctx, num_tasks, chunk_size);
     case Scheduling::kMasterWorker:
-      return MasterWorkerQueue::create(ctx, num_tasks, chunk_size, vtime_ordered);
+      return MasterWorkerQueue::create(ctx, num_tasks, chunk_size);
   }
   throw InvalidArgument("make_task_queue: unknown scheduling strategy");
 }

@@ -88,10 +88,14 @@ enum : std::uint8_t {
 };
 
 constexpr std::uint8_t kFlagError = 1;
-constexpr std::uint64_t kProtoVersion = 1;
+// v2: the round prefix is padded to 16 bytes.
+constexpr std::uint64_t kProtoVersion = 2;
 
-// kSync/kFence payload prefix: f64 vtime, u8 parity, u8 has_payload.
-constexpr std::size_t kRoundPrefix = 10;
+// kSync/kFence payload prefix: f64 vtime, u8 parity, u8 has_payload, six
+// zero bytes.  Received payloads are fresh heap buffers, so padding the
+// prefix to 16 keeps every PeerSlot body aligned for any scalar type the
+// typed collectives read in place.
+constexpr std::size_t kRoundPrefix = 16;
 
 void put_u64(std::uint8_t* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -652,9 +656,12 @@ class SocketTransport final : public Transport {
       std::string peer_host;
       const int cfd = net::accept_tcp(rdv_fd_, tmo, &peer_host);
       auto [h, pay] = recv_frame_blocking(cfd, tmo);
-      if (h.type != kHello || pay.size() != 24 ||
-          get_u64(pay.data()) != kProtoVersion)
+      if (h.type != kHello || pay.size() != 24)
         throw Error("rendezvous: malformed hello");
+      if (get_u64(pay.data()) != kProtoVersion)
+        throw Error("rendezvous: protocol version mismatch (peer speaks v" +
+                    std::to_string(get_u64(pay.data())) + ", expected v" +
+                    std::to_string(kProtoVersion) + ")");
       if (get_u64(pay.data() + 8) != static_cast<std::uint64_t>(nprocs_))
         throw Error("rendezvous: world size mismatch (peer claims " +
                     std::to_string(get_u64(pay.data() + 8)) + ", expected " +

@@ -128,7 +128,7 @@ IndexingResult build_inverted_index(ga::Context& ctx, const text::ForwardIndex& 
 
   // ==== Phase B: dynamically load-balanced placement ====================
   auto queue = ga::make_task_queue(ctx, config.scheduling, n_fields, config.chunk_fields,
-                                   forward.rank_field_ranges, config.vtime_ordered_claims);
+                                   forward.rank_field_ranges);
 
   const double busy_start = ctx.vtime();
   std::int64_t loads_claimed = 0;

@@ -38,11 +38,6 @@ struct IndexingConfig {
   ga::Scheduling scheduling = ga::Scheduling::kOwnerFirst;
   /// Fields per load — the fixed-size chunking granularity [19].
   std::size_t chunk_fields = 128;
-  /// Grant queue claims in virtual-time order (see ga::ClaimGate).  On an
-  /// oversubscribed host this keeps the dynamic schedule — and therefore
-  /// the Figure 9 load-balance measurement — faithful to a cluster whose
-  /// ranks genuinely run concurrently.
-  bool vtime_ordered_claims = true;
 };
 
 /// Term→field and term→record indexes in global arrays (CSR, one block of

@@ -16,6 +16,7 @@
 #include "sva/engine/digest.hpp"
 #include "sva/engine/pipeline.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace svabench {
 namespace {
@@ -173,7 +174,7 @@ TEST(ReportTest, WriteReportEmitsParseableSchemaVersionedJson) {
   report.data["series"] = json::Value::array();
   report.record_checksum("cfg", 1, 0xdeadbeefULL);
 
-  const auto dir = std::filesystem::temp_directory_path() / "sva_bench_report_test";
+  const auto dir = sva::testing::unique_temp_path("report");
   std::filesystem::remove_all(dir);
   const auto path = report::write_report(report, dir);
   EXPECT_EQ(path.filename().string(), "BENCH_unit_probe.json");

@@ -10,6 +10,7 @@
 #include "sva/cluster/pca.hpp"
 #include "sva/cluster/projection.hpp"
 #include "sva/util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace sva::cluster {
 namespace {
@@ -297,8 +298,8 @@ TEST(ProjectionTest, GathersAllCoordinatesOnRankZero) {
 }
 
 TEST(ProjectionTest, WriteCoordinatesRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "sva_proj" / "coords.csv").string();
+  const auto dir = sva::testing::unique_temp_path("proj");
+  const auto path = (dir / "coords.csv").string();
   write_coordinates(path, {7, 8}, {1.0, 2.0, 3.0, 4.0});
   std::ifstream in(path);
   std::string line;
@@ -306,7 +307,7 @@ TEST(ProjectionTest, WriteCoordinatesRoundTrip) {
   EXPECT_EQ(line, "doc_id,x,y");
   std::getline(in, line);
   EXPECT_EQ(line, "7,1,2");
-  std::filesystem::remove_all(std::filesystem::temp_directory_path() / "sva_proj");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ProjectionTest, WriteCoordinatesValidatesSizes) {

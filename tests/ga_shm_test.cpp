@@ -117,7 +117,9 @@ TEST(GaShmTest, CollectiveSweepMatchesThreadBackendBitIdentically) {
 TEST(GaShmTest, GlobalArrayHashmapAndQueuesWorkUnderProcessBackend) {
   SVA_REQUIRE_PROCESS_BACKEND();
   for (const int P : {1, 2, 4}) {
-    spmd_run(process_world(P), [&](Context& ctx) {
+    SpmdOptions world = process_world(P);
+    world.comm_model.vtime_ordered_claims = true;  // claim gate over the shared region
+    spmd_run(world, [&](Context& ctx) {
       auto array = GlobalArray<std::int64_t>::create(ctx, 100);
       array.put_value(ctx, (ctx.rank() * 37) % 100, ctx.rank() + 1);
       ctx.barrier();
@@ -138,7 +140,7 @@ TEST(GaShmTest, GlobalArrayHashmapAndQueuesWorkUnderProcessBackend) {
 
       for (const auto sched : {Scheduling::kAtomicCounter, Scheduling::kOwnerFirst,
                                Scheduling::kMasterWorker, Scheduling::kStatic}) {
-        auto queue = make_task_queue(ctx, sched, 64, 4, {}, /*vtime_ordered=*/true);
+        auto queue = make_task_queue(ctx, sched, 64, 4);
         std::size_t got = 0;
         while (const auto chunk = queue->next(ctx)) got += chunk->size();
         const auto total = ctx.allreduce_sum(static_cast<std::int64_t>(got));

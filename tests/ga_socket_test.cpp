@@ -169,7 +169,7 @@ TEST(GaSocketTest, GlobalArrayHashmapAndQueuesWorkUnderSocketBackend) {
 
       for (const auto sched : {Scheduling::kAtomicCounter, Scheduling::kOwnerFirst,
                                Scheduling::kMasterWorker, Scheduling::kStatic}) {
-        auto queue = make_task_queue(ctx, sched, 64, 4, {}, /*vtime_ordered=*/true);
+        auto queue = make_task_queue(ctx, sched, 64, 4);
         std::size_t got = 0;
         while (const auto chunk = queue->next(ctx)) got += chunk->size();
         const auto total = ctx.allreduce_sum(static_cast<std::int64_t>(got));
@@ -179,6 +179,21 @@ TEST(GaSocketTest, GlobalArrayHashmapAndQueuesWorkUnderSocketBackend) {
       }
     });
   }
+}
+
+TEST(GaSocketTest, VtimeOrderedClaimsAreRejectedAtLaunch) {
+  // The claim gate needs shared memory, which socket ranks do not have.
+  SpmdOptions world = socket_world(2);
+  world.comm_model.vtime_ordered_claims = true;
+  bool ran = false;
+  try {
+    spmd_run(world, [&](Context&) { ran = true; });
+    FAIL() << "a socket world accepted vtime-ordered claims";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("vtime_ordered_claims"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(ran);
 }
 
 TEST(GaSocketTest, MultiNodeRendezvousOverLoopbackMatchesThreadBackend) {
@@ -224,6 +239,41 @@ TEST(GaSocketTest, MultiNodeRendezvousOverLoopbackMatchesThreadBackend) {
   EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
       << "node 1 launcher failed";
   EXPECT_EQ(*digest, collective_sweep_digest(Backend::kThread, 4));
+#endif
+}
+
+TEST(GaSocketTest, OldProtocolPeerFailsTheRendezvousWithANamedError) {
+  SVA_REQUIRE_SOCKET_BACKEND();
+#if defined(__linux__)
+  // A 2-node world whose node 1 is an impostor speaking protocol v1 (the
+  // 10-byte round prefix): rank 0 must refuse its hello by name rather
+  // than let it join and misparse every round frame.
+  const int probe = net::listen_tcp("127.0.0.1", 0);
+  const std::uint16_t port = net::local_port(probe);
+  net::close_fd(probe);
+
+  std::thread impostor([port] {
+    std::vector<std::uint8_t> hello(24, 0);
+    hello[0] = 1;   // protocol version
+    hello[8] = 2;   // world size
+    hello[16] = 1;  // data port
+    const auto frame = wire::make_frame(/*kHello*/ 1, 0, /*src=*/1, 0, hello);
+    const int fd = net::connect_tcp("127.0.0.1", port, 10000);
+    net::send_all(fd, frame.data(), frame.size());
+    net::close_fd(fd);
+  });
+  SpmdOptions world = socket_world(2);
+  world.socket_rendezvous = "127.0.0.1:" + std::to_string(port);
+  world.socket_node = 0;
+  world.socket_nodes = 2;
+  try {
+    spmd_run(world, [](Context& ctx) { ctx.barrier(); });
+    ADD_FAILURE() << "a protocol-v1 peer joined the world";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("protocol version mismatch"), std::string::npos)
+        << e.what();
+  }
+  impostor.join();
 #endif
 }
 

@@ -148,8 +148,8 @@ TEST(OwnerFirstQueueTest, IdleRanksStealFromBusyOnes) {
   // the three rank threads in any real-time order.
   std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, 0}, {0, 90}, {90, 90}};
   std::vector<std::atomic<int>> claimed_by(3);
-  spmd_run(3, [&](Context& ctx) {
-    auto queue = OwnerFirstChunkQueue::create(ctx, ranges, 5, /*vtime_ordered=*/true);
+  spmd_run(3, sva::testing::vtime_ordered(), [&](Context& ctx) {
+    auto queue = OwnerFirstChunkQueue::create(ctx, ranges, 5);
     int chunks = 0;
     while (queue->next(ctx)) ++chunks;
     claimed_by[static_cast<std::size_t>(ctx.rank())] = chunks;
@@ -243,9 +243,8 @@ TEST(ClaimGateTest, ClaimsFollowVirtualTimeNotThreadOrder) {
   // gets a single chunk.
   constexpr int kProcs = 3;
   std::vector<std::atomic<int>> claimed(kProcs);
-  spmd_run(kProcs, [&](Context& ctx) {
-    auto queue =
-        AtomicCounterQueue::create(ctx, 40, 4, /*vtime_ordered=*/true);
+  spmd_run(kProcs, sva::testing::vtime_ordered(), [&](Context& ctx) {
+    auto queue = AtomicCounterQueue::create(ctx, 40, 4);
     ctx.barrier();
     if (ctx.rank() == 2) ctx.charge(100.0);  // way in the future
     int chunks = 0;
@@ -268,11 +267,10 @@ TEST(ClaimGateTest, CounterLocalityFavorsTheOwnerRank) {
   // every chunk is claimed.
   constexpr int kProcs = 4;
   // Modeled-cost comparison only: see test_models.hpp.
-  const CommModel model = sva::testing::zero_compute_model();
+  const CommModel model = sva::testing::vtime_ordered(sva::testing::zero_compute_model());
   std::vector<std::atomic<int>> claimed(kProcs);
   spmd_run(kProcs, model, [&](Context& ctx) {
-    auto queue =
-        AtomicCounterQueue::create(ctx, 64, 4, /*vtime_ordered=*/true);
+    auto queue = AtomicCounterQueue::create(ctx, 64, 4);
     ctx.barrier();
     int chunks = 0;
     while (queue->next(ctx)) ++chunks;
@@ -292,9 +290,8 @@ TEST(ClaimGateTest, CounterLocalityFavorsTheOwnerRank) {
 TEST(ClaimGateTest, GatedQueueStillClaimsEveryTaskOnce) {
   constexpr std::size_t kTasks = 101;
   std::vector<std::atomic<int>> claims(kTasks);
-  spmd_run(5, [&](Context& ctx) {
-    auto queue = make_task_queue(ctx, Scheduling::kOwnerFirst, kTasks, 7, {},
-                                 /*vtime_ordered=*/true);
+  spmd_run(5, sva::testing::vtime_ordered(), [&](Context& ctx) {
+    auto queue = make_task_queue(ctx, Scheduling::kOwnerFirst, kTasks, 7);
     while (auto chunk = queue->next(ctx)) {
       for (std::size_t t = chunk->begin; t < chunk->end; ++t) claims[t].fetch_add(1);
     }
@@ -307,10 +304,9 @@ TEST(ClaimGateTest, AbortWhileWaitingDoesNotDeadlock) {
   // Rank 1 throws between its first and second claim; ranks waiting at
   // the gate must observe the abort and unwind instead of hanging.
   EXPECT_THROW(
-      spmd_run(3,
+      spmd_run(3, sva::testing::vtime_ordered(),
                [](Context& ctx) {
-                 auto queue = AtomicCounterQueue::create(ctx, 1000, 1,
-                                                         /*vtime_ordered=*/true);
+                 auto queue = AtomicCounterQueue::create(ctx, 1000, 1);
                  ctx.barrier();
                  if (ctx.rank() == 1) {
                    (void)queue->next(ctx);

@@ -10,6 +10,7 @@
 #include "sva/corpus/generator.hpp"
 #include "sva/corpus/lexicon.hpp"
 #include "sva/index/inverted_index.hpp"
+#include "test_models.hpp"
 #include "test_oracles.hpp"
 
 namespace sva::index {
@@ -217,7 +218,9 @@ TEST(IndexTest, DynamicBeatsStaticOnSkewedLoad) {
 
   auto run = [&](ga::Scheduling scheduling) {
     auto imbalance = std::make_shared<double>(0.0);
-    ga::spmd_run(4, [&](ga::Context& ctx) {
+    // Imbalance is a modeled figure: the gate makes the dynamic schedule
+    // that of concurrent ranks however the host runs the threads.
+    ga::spmd_run(4, sva::testing::vtime_ordered(), [&](ga::Context& ctx) {
       const auto scan = text::scan_sources(ctx, s, test_tokenizer());
       IndexingConfig config;
       config.scheduling = scheduling;

@@ -19,13 +19,12 @@
 #include "sva/index/codec.hpp"
 #include "sva/sig/persist.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva {
 namespace {
 
-std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / name;
-}
+using sva::testing::unique_temp_path;
 
 // ---- sig/persist ------------------------------------------------------------
 
@@ -73,7 +72,7 @@ void roundtrip_signatures(int nprocs, std::size_t rows, std::size_t dim,
     }
   }
 
-  const auto path = temp_file("sva_roundtrip_" + tag + ".bin");
+  const auto path = unique_temp_path(tag + ".bin");
   ga::spmd_run(nprocs, [&](ga::Context& ctx) {
     const auto s = shard_rows(ctx, doc_ids, nulls, all, dim);
     sig::write_signatures(ctx, path.string(), s, names);
@@ -154,11 +153,11 @@ TEST(PersistRoundtripTest, FuzzedShapes) {
 
 TEST(PersistRoundtripTest, TruncatedFilesThrowFormatError) {
   std::mt19937_64 rng(21);
-  const auto path = temp_file("sva_roundtrip_trunc.bin");
+  const auto path = unique_temp_path("trunc.bin");
   roundtrip_signatures(1, 6, 4, ascii_names(4), rng, "trunc_src");
 
   // Rebuild a valid store, then replay every strict prefix of it.
-  const auto full_path = temp_file("sva_roundtrip_full.bin");
+  const auto full_path = unique_temp_path("full.bin");
   ga::spmd_run(1, [&](ga::Context& ctx) {
     std::vector<std::uint64_t> ids = {1, 2, 3};
     std::vector<bool> nulls = {false, true, false};

@@ -9,13 +9,12 @@
 #include <vector>
 
 #include "sva/sig/persist.hpp"
+#include "temp_path.hpp"
 
 namespace sva::sig {
 namespace {
 
-std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
-}
+using sva::testing::unique_temp_path;
 
 /// Builds a small deterministic SignatureSet on each rank.
 SignatureSet make_set(ga::Context& ctx, std::size_t n_total, std::size_t dim) {
@@ -41,7 +40,7 @@ class PersistProcsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PersistProcsTest, RoundTripPreservesEverything) {
   const int nprocs = GetParam();
-  const auto path = temp_file("sva_persist_test.bin");
+  const auto path = unique_temp_path("sigs.bin");
   const std::vector<std::string> names = {"alpha", "beta", "gamma", "delta"};
 
   ga::spmd_run(nprocs, [&](ga::Context& ctx) {
@@ -67,8 +66,8 @@ TEST_P(PersistProcsTest, RoundTripPreservesEverything) {
 
 TEST_P(PersistProcsTest, FileIsIdenticalForEveryP) {
   const int nprocs = GetParam();
-  const auto path_p = temp_file("sva_persist_p.bin");
-  const auto path_1 = temp_file("sva_persist_1.bin");
+  const auto path_p = unique_temp_path("p.bin");
+  const auto path_1 = unique_temp_path("1.bin");
   const std::vector<std::string> names = {"t0", "t1", "t2"};
 
   ga::spmd_run(1, [&](ga::Context& ctx) {
@@ -95,7 +94,7 @@ TEST(PersistTest, MissingFileThrows) {
 }
 
 TEST(PersistTest, CorruptMagicThrows) {
-  const auto path = temp_file("sva_persist_corrupt.bin");
+  const auto path = unique_temp_path("corrupt.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTSIGSFILE_____garbage";
@@ -105,7 +104,7 @@ TEST(PersistTest, CorruptMagicThrows) {
 }
 
 TEST(PersistTest, TruncatedFileThrows) {
-  const auto path = temp_file("sva_persist_trunc.bin");
+  const auto path = unique_temp_path("trunc.bin");
   ga::spmd_run(1, [&](ga::Context& ctx) {
     write_signatures(ctx, path.string(), make_set(ctx, 9, 3), {"a", "b", "c"});
   });
@@ -117,7 +116,7 @@ TEST(PersistTest, TruncatedFileThrows) {
 }
 
 TEST(PersistTest, EmptySignatureSetRoundTrips) {
-  const auto path = temp_file("sva_persist_empty.bin");
+  const auto path = unique_temp_path("empty.bin");
   ga::spmd_run(1, [&](ga::Context& ctx) {
     SignatureSet s;
     s.dimension = 5;

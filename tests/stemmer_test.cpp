@@ -3,6 +3,7 @@
 // tokenizer's stem option.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,10 @@ struct Pair {
   const char* in;
   const char* out;
 };
+
+// gtest would otherwise print the two pointers' bytes, and ctest names
+// the cases by that printout: the names would change with every build.
+void PrintTo(const Pair& pair, std::ostream* os) { *os << pair.in << '_' << pair.out; }
 
 class PorterPairTest : public ::testing::TestWithParam<Pair> {};
 

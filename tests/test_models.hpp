@@ -14,4 +14,11 @@ inline ga::CommModel zero_compute_model() {
   return model;
 }
 
+/// `model` with queue claims granted in virtual-time order (ga::ClaimGate),
+/// for tests that assert a modeled schedule regardless of host threading.
+inline ga::CommModel vtime_ordered(ga::CommModel model = {}) {
+  model.vtime_ordered_claims = true;
+  return model;
+}
+
 }  // namespace sva::testing

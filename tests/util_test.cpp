@@ -12,6 +12,7 @@
 #include "sva/util/stringutil.hpp"
 #include "sva/util/table.hpp"
 #include "sva/util/timer.hpp"
+#include "temp_path.hpp"
 
 namespace sva {
 namespace {
@@ -245,7 +246,7 @@ TEST(TableTest, NumFormatting) {
 }
 
 TEST(TableTest, WriteCsvCreatesDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "sva_table_test";
+  const auto dir = sva::testing::unique_temp_path("table");
   std::filesystem::remove_all(dir);
   Table t({"x"});
   t.add_row({"1"});
