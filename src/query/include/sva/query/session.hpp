@@ -102,6 +102,10 @@ struct QueryInputs {
   /// builds it once at open; the one-shot wrappers leave it null and the
   /// sweep indexes on demand).
   const std::unordered_map<std::uint64_t, std::size_t>* doc_index = nullptr;
+  /// Optional squared norm of every local row of `signatures` (a Session
+  /// computes them once at open; the one-shot wrappers leave it null and
+  /// the sweep computes them per call, in the same accumulation order).
+  const std::vector<double>* row_norms2 = nullptr;
 };
 
 /// Cooperative control of one batched sweep — the serving daemon's
@@ -228,6 +232,9 @@ class Session {
   /// doc id → local signature row, built once: the batched plane's probe
   /// resolution must not rescan the rows per call.
   std::unordered_map<std::uint64_t, std::size_t> doc_index_;
+  /// Squared norm of every local signature row, computed once: rows never
+  /// change within a generation.
+  std::vector<double> row_norms2_;
 };
 
 }  // namespace sva::query

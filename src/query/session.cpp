@@ -39,6 +39,36 @@ bool closer_rep(const TaggedCandidate& a, const TaggedCandidate& b) {
 
 bool is_similarity(Query::Kind kind) { return kind != Query::Kind::kClusterSummary; }
 
+/// Offers `c` to `heap`, which keeps the `k` best candidates under the
+/// total order `cmp` with the worst kept one at its front.  Because the
+/// order is total, the kept set is exactly the top k however the rows
+/// arrive.
+template <typename Cmp>
+void keep_top(std::vector<TaggedCandidate>& heap, std::size_t k, const TaggedCandidate& c,
+              Cmp cmp) {
+  if (heap.size() < k) {
+    heap.push_back(c);
+    std::push_heap(heap.begin(), heap.end(), cmp);
+  } else if (cmp(c, heap.front())) {
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    heap.back() = c;
+    std::push_heap(heap.begin(), heap.end(), cmp);
+  }
+}
+
+/// Squared norm of every row, accumulated in cosine_similarity's element
+/// order so each score stays bit-identical to the one-query path.
+std::vector<double> row_norms2(const sig::SignatureSet& sigs) {
+  std::vector<double> norms(sigs.doc_ids.size(), 0.0);
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    const auto row = sigs.docvecs.row(i);
+    double na = 0.0;
+    for (std::size_t d = 0; d < row.size(); ++d) na += row[d] * row[d];
+    norms[i] = na;
+  }
+  return norms;
+}
+
 /// Collective cancellation poll: every rank folds its local view of the
 /// cancel flag / deadline through an allreduce, so all ranks take the
 /// same branch — a rank abandoning a sweep alone would wedge the world.
@@ -147,9 +177,10 @@ std::vector<QueryResult> run_query_batch(ga::Context& ctx, const QueryInputs& in
   if (!control.inert() && sweep_abandoned(ctx, control)) return {};
 
   // ---- one fused per-rank scan ------------------------------------------
-  // Probe norms are hoisted (accumulated in the same element order as
-  // cosine_similarity, so each score is bit-identical to the classic
-  // one-query path); each signature row is read once for the whole batch.
+  // Probe and row norms are hoisted (accumulated in the same element
+  // order as cosine_similarity, so each score is bit-identical to the
+  // classic one-query path); each signature row is read once for the
+  // whole batch, and each query keeps only its local top-k.
   struct ProbeRef {
     std::size_t query = 0;
     const double* vec = nullptr;
@@ -179,6 +210,13 @@ std::vector<QueryResult> run_query_batch(ga::Context& ctx, const QueryInputs& in
     }
   }
 
+  std::vector<double> local_norms;
+  const std::vector<double>* norms = in.row_norms2;
+  if (norms == nullptr && !probe_list.empty()) {
+    local_norms = row_norms2(sigs);
+    norms = &local_norms;
+  }
+
   std::vector<std::vector<TaggedCandidate>> local(queries.size());
   std::vector<std::int64_t> members(num_summaries, 0);
   // Cosines lie in [-1, 1]: the fixed-point bank makes the cohesion sum
@@ -189,16 +227,15 @@ std::vector<QueryResult> run_query_batch(ga::Context& ctx, const QueryInputs& in
   for (std::size_t i = 0; i < sigs.doc_ids.size(); ++i) {
     const auto row = sigs.docvecs.row(i);
     if (!probe_list.empty() && !sigs.is_null[i]) {
-      double na = 0.0;
-      for (std::size_t d = 0; d < dim; ++d) na += row[d] * row[d];
+      const double na = (*norms)[i];
       for (const ProbeRef& pr : probe_list) {
         if (pr.exclude && sigs.doc_ids[i] == pr.exclude_doc) continue;
         double dot = 0.0;
         for (std::size_t d = 0; d < dim; ++d) dot += row[d] * pr.vec[d];
         const double sim =
             (na <= 0.0 || pr.norm2 <= 0.0) ? 0.0 : dot / std::sqrt(na * pr.norm2);
-        local[pr.query].push_back(
-            {static_cast<std::uint32_t>(pr.query), 0, sigs.doc_ids[i], sim});
+        keep_top(local[pr.query], queries[pr.query].k,
+                 {static_cast<std::uint32_t>(pr.query), 0, sigs.doc_ids[i], sim}, better_hit);
       }
     }
     for (const SummaryRef& sr : summary_list) {
@@ -212,8 +249,8 @@ std::vector<QueryResult> run_query_batch(ga::Context& ctx, const QueryInputs& in
         const double diff = row[d] - centroid[d];
         d2 += diff * diff;
       }
-      local[sr.query].push_back(
-          {static_cast<std::uint32_t>(sr.query), 0, sigs.doc_ids[i], d2});
+      keep_top(local[sr.query], queries[sr.query].k,
+               {static_cast<std::uint32_t>(sr.query), 0, sigs.doc_ids[i], d2}, closer_rep);
     }
   }
 
@@ -221,16 +258,7 @@ std::vector<QueryResult> run_query_batch(ga::Context& ctx, const QueryInputs& in
 
   // ---- one merge of every query's local top-k ---------------------------
   std::vector<TaggedCandidate> packed;
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    auto& cands = local[qi];
-    const auto cmp = is_similarity(queries[qi].kind) ? better_hit : closer_rep;
-    const std::size_t keep = std::min(cands.size(), queries[qi].k);
-    std::partial_sort(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(keep),
-                      cands.end(), cmp);
-    packed.insert(packed.end(), cands.begin(),
-                  cands.begin() + static_cast<std::ptrdiff_t>(keep));
-    cands.clear();
-  }
+  for (const auto& kept : local) packed.insert(packed.end(), kept.begin(), kept.end());
   const auto merged = ctx.allgatherv(std::span<const TaggedCandidate>(packed));
   std::vector<std::vector<TaggedCandidate>> buckets(queries.size());
   for (const TaggedCandidate& c : merged) buckets[c.query].push_back(c);
@@ -312,11 +340,12 @@ Session::Session(ga::Context& ctx, engine::BundleView data)
   for (std::size_t i = 0; i < data_.signatures.doc_ids.size(); ++i) {
     doc_index_.emplace(data_.signatures.doc_ids[i], i);
   }
+  row_norms2_ = row_norms2(data_.signatures);
 }
 
 QueryInputs Session::inputs() const {
   return {&data_.signatures, &data_.clustering.assignment, &data_.clustering,
-          &data_.theme_labels, &doc_index_};
+          &data_.theme_labels, &doc_index_, &row_norms2_};
 }
 
 // The single-query methods run one-element batches through inputs() so

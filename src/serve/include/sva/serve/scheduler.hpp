@@ -2,13 +2,11 @@
 // concurrent single queries into Session::run_batch sweeps.
 //
 // Ingress threads submit() individual queries; the serve loop's rank 0
-// blocks in take_batch(), which releases a batch when either
-//
-//   * the pending queue reaches `batch_max` (size trigger: bursty load
-//     rides the batched plane at full width), or
-//   * `deadline` has elapsed since the OLDEST pending admission
-//     (deadline trigger: a lone query never waits longer than the
-//     coalescing window).
+// calls take_batch() only between sweeps, and take_batch() releases up
+// to `batch_max` pending queries the moment any are pending.  Dispatch
+// is work-conserving: a query never waits while the serving world is
+// idle, and queries that arrive during a sweep queue up and ride the
+// next one together, so batches grow with load without a timer.
 //
 // The scheduler never reorders: batches are admission-ordered prefixes
 // of the queue, so a client's pipelined queries complete in order.
@@ -49,8 +47,10 @@ class DeadlineExceeded : public Error {
 struct SchedulerStats {
   std::uint64_t submitted = 0;
   std::uint64_t batches = 0;           ///< batches released to the serve loop
-  std::uint64_t size_flushes = 0;      ///< released because the queue hit batch_max
-  std::uint64_t deadline_flushes = 0;  ///< released because the window expired
+  std::uint64_t size_flushes = 0;      ///< released with batch_max or more pending
+  /// Always 0: dispatch has no coalescing window.  Kept only because the
+  /// end-to-end benchmark (bench/e2e/workloads.cpp) still reads it.
+  std::uint64_t deadline_flushes = 0;
   std::uint64_t drain_flushes = 0;     ///< released while draining for shutdown
   std::uint64_t max_batch = 0;         ///< largest batch released
   std::uint64_t expired = 0;           ///< failed by the admission deadline
@@ -63,11 +63,10 @@ class AdmissionScheduler {
   /// entries before releasing a batch, and the server's supervisor prunes
   /// during respawn backoff (when nothing is calling take_batch).  Zero
   /// disables expiry.
-  AdmissionScheduler(std::size_t batch_max, std::chrono::microseconds deadline,
-                     std::chrono::milliseconds admission_deadline =
-                         std::chrono::milliseconds::zero())
+  explicit AdmissionScheduler(std::size_t batch_max,
+                              std::chrono::milliseconds admission_deadline =
+                                  std::chrono::milliseconds::zero())
       : batch_max_(batch_max > 0 ? batch_max : 1),
-        deadline_(deadline),
         admission_deadline_(admission_deadline) {}
 
   /// Admits one query; returns the future its sweep will complete.
@@ -76,7 +75,8 @@ class AdmissionScheduler {
   std::future<query::QueryResult> submit(query::Query q, std::uint64_t digest,
                                          std::vector<std::uint8_t> key);
 
-  /// Blocks until a batch is ready and returns it (admission order).
+  /// Blocks until a query is pending, then returns up to batch_max of
+  /// them (admission order).
   /// Returns an empty vector when `interrupt` reports true (an external
   /// command needs the serve loop) or when the scheduler is stopped and
   /// fully drained — the caller distinguishes via stopped()/pending().
@@ -104,7 +104,6 @@ class AdmissionScheduler {
   std::size_t fail_expired_locked();
 
   const std::size_t batch_max_;
-  const std::chrono::microseconds deadline_;
   const std::chrono::milliseconds admission_deadline_;
 
   mutable std::mutex mutex_;

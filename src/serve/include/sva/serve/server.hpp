@@ -63,10 +63,9 @@ namespace sva::serve {
 struct ServeOptions {
   /// SPMD ranks the world serves with.
   int procs = 2;
-  /// Sweep released as soon as this many queries are pending.
+  /// Most queries one sweep carries; whatever is pending rides the next
+  /// sweep as soon as the world is idle.
   std::size_t batch_max = 16;
-  /// ...or once the oldest pending query has waited this long.
-  std::chrono::microseconds batch_deadline{2000};
   /// Result-cache capacity in entries (0 disables caching).
   std::size_t cache_capacity = 1024;
   /// Communication model for the serving world.

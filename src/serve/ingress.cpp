@@ -71,7 +71,6 @@ std::string format_stats(const ServerStats& s) {
   kv("submitted", s.scheduler.submitted);
   kv("batches", s.scheduler.batches);
   kv("size_flushes", s.scheduler.size_flushes);
-  kv("deadline_flushes", s.scheduler.deadline_flushes);
   kv("max_batch", s.scheduler.max_batch);
   kv("cache_hits", s.cache.hits);
   kv("cache_misses", s.cache.misses);

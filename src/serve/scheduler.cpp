@@ -72,25 +72,16 @@ std::vector<PendingQuery> AdmissionScheduler::take_batch(
   for (;;) {
     fail_expired_locked();
     if (interrupt && interrupt()) return {};
-    if (stopped_) {
-      if (queue_.empty()) return {};
-      ++stats_.drain_flushes;
-      return pop_batch_locked();
-    }
-    if (queue_.size() >= batch_max_) {
-      ++stats_.size_flushes;
-      return pop_batch_locked();
-    }
     if (!queue_.empty()) {
-      const auto flush_at = queue_.front().admitted + deadline_;
-      if (std::chrono::steady_clock::now() >= flush_at) {
-        ++stats_.deadline_flushes;
-        return pop_batch_locked();
+      if (stopped_) {
+        ++stats_.drain_flushes;
+      } else if (queue_.size() >= batch_max_) {
+        ++stats_.size_flushes;
       }
-      cv_.wait_until(lock, flush_at);
-    } else {
-      cv_.wait(lock);
+      return pop_batch_locked();
     }
+    if (stopped_) return {};
+    cv_.wait(lock);
   }
 }
 

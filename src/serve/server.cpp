@@ -72,7 +72,7 @@ corpus::SourceSet parse_ingest_docs(const std::string& text) {
 Server::Server(std::filesystem::path bundle_path, ServeOptions options)
     : bundle_path_(std::move(bundle_path)),
       options_(options),
-      scheduler_(options.batch_max, options.batch_deadline, options.admission_deadline),
+      scheduler_(options.batch_max, options.admission_deadline),
       cache_(options.cache_capacity) {
   served_path_ = bundle_path_;
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "compare.hpp"
+#include "temp_path.hpp"
 
 namespace svabench::compare {
 namespace {
@@ -334,13 +335,8 @@ TEST(CompareTest, ModeledThroughputOutsideMicroTextIsNotWallGated) {
 class CompareDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: ctest runs discovered cases as parallel processes.
-    const std::string test =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    base_ = std::filesystem::path(::testing::TempDir()) / ("cmp_base_" + test);
-    cur_ = std::filesystem::path(::testing::TempDir()) / ("cmp_cur_" + test);
-    std::filesystem::remove_all(base_);
-    std::filesystem::remove_all(cur_);
+    base_ = sva::testing::test_temp_dir() / "base";
+    cur_ = sva::testing::test_temp_dir() / "cur";
     std::filesystem::create_directories(base_);
     std::filesystem::create_directories(cur_);
   }

@@ -22,6 +22,7 @@
 #include "sva/engine/section_file.hpp"
 #include "sva/query/session.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva::engine {
 namespace {
@@ -45,11 +46,11 @@ EngineConfig tiny_config() {
   return config;
 }
 
-std::filesystem::path fresh_path(const std::string& name) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_bundle_" + name + "_" + std::to_string(::getpid()) + ".svab");
-  std::filesystem::remove(path);
-  return path;
+/// `<dir>/<name>.svab`; `dir` defaults to the running test's own.
+std::filesystem::path fresh_path(
+    const std::string& name,
+    const std::filesystem::path& dir = sva::testing::test_temp_dir()) {
+  return dir / (name + ".svab");
 }
 
 std::vector<std::uint8_t> slurp(const std::filesystem::path& path) {
@@ -70,7 +71,7 @@ struct Fixture {
   corpus::CorpusSpec spec = tiny_spec();
   corpus::GeneratedReader reader{spec};
   EngineConfig config = tiny_config();
-  std::filesystem::path bundle = fresh_path("fixture");
+  std::filesystem::path bundle = fresh_path("fixture", sva::testing::program_temp_dir());
 
   std::vector<query::SimilarDoc> by_doc;
   std::vector<query::ClusterSummary> summaries;
@@ -153,9 +154,7 @@ INSTANTIATE_TEST_SUITE_P(Procs, BundleProcsTest, ::testing::Values(1, 2, 8));
 
 TEST(BundleTest, ResumedRunExportsTheSameBundle) {
   const Fixture& f = fixture();
-  const auto ckpt_dir = std::filesystem::path(::testing::TempDir()) /
-                        ("sva_bundle_resume_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(ckpt_dir);
+  const auto ckpt_dir = sva::testing::test_temp_dir() / "resume";
   const auto resumed_bundle = fresh_path("resumed");
 
   Engine engine(f.config);
@@ -278,7 +277,7 @@ TEST(BundleFuzzTest, TruncatedFileFailsCollectivelyThroughTheLoader) {
 
 /// A generation-1 bundle delta-ingested over the fixture's base.
 struct DeltaFixture {
-  std::filesystem::path gen1 = fresh_path("gen1");
+  std::filesystem::path gen1 = fresh_path("gen1", sva::testing::program_temp_dir());
   corpus::SourceSet new_docs;
 
   DeltaFixture() {

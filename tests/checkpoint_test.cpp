@@ -19,6 +19,7 @@
 #include "sva/engine/engine.hpp"
 #include "sva/engine/pipeline.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva::engine {
 namespace {
@@ -42,12 +43,12 @@ EngineConfig tiny_config() {
   return config;
 }
 
-std::filesystem::path fresh_dir(const std::string& name) {
-  // Suffixed by pid: ctest runs discovered cases as parallel processes.
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("sva_ckpt_" + name + "_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+/// A new, empty `<base>/<name>`; `base` defaults to the running test's
+/// own directory.
+std::filesystem::path fresh_dir(
+    const std::string& name,
+    const std::filesystem::path& base = sva::testing::test_temp_dir()) {
+  const auto dir = base / name;
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -193,7 +194,7 @@ TEST(CheckpointTest, ResumeWithoutCheckpointRefused) {
 class CheckpointFuzz : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::filesystem::path(fresh_dir("fuzz"));
+    dir_ = new std::filesystem::path(fresh_dir("fuzz", sva::testing::program_temp_dir()));
     const Fixture& f = fixture();
     Engine engine(f.config);
     PipelineOptions options;

@@ -14,6 +14,8 @@
 #include <fstream>
 #include <string>
 
+#include "temp_path.hpp"
+
 namespace {
 
 /// Runs `cmd` with stdout/stderr discarded; returns the exit code
@@ -25,8 +27,7 @@ int run(const std::string& cmd) {
 }
 
 std::filesystem::path write_batch(const std::string& name, const std::string& text) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_cli_" + name + "_" + std::to_string(::getpid()) + ".txt");
+  const auto path = sva::testing::test_temp_dir() / (name + ".txt");
   std::ofstream out(path);
   out << text;
   return path;
@@ -75,7 +76,7 @@ TEST(CliTest, PipelineRejectsBadFlagValues) {
 TEST(CliTest, ServeRejectsBadFlagValues) {
   EXPECT_EQ(run(kServe + " --bundle /nonexistent.svab --batch-max -1"), 2);
   EXPECT_EQ(run(kServe + " --bundle /nonexistent.svab --batch-max 0"), 2);
-  EXPECT_EQ(run(kServe + " --bundle /nonexistent.svab --deadline-us junk"), 2);
+  EXPECT_EQ(run(kServe + " --bundle /nonexistent.svab --batch-max junk"), 2);
   EXPECT_EQ(run(kServe + " --bundle /nonexistent.svab --procs 0"), 2);
 }
 

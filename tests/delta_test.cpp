@@ -23,6 +23,7 @@
 #include "sva/engine/engine.hpp"
 #include "sva/query/session.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva::engine {
 namespace {
@@ -46,11 +47,11 @@ EngineConfig delta_config() {
   return config;
 }
 
-std::filesystem::path fresh_path(const std::string& name) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_delta_" + name + "_" + std::to_string(::getpid()) + ".svab");
-  std::filesystem::remove(path);
-  return path;
+/// `<dir>/<name>.svab`; `dir` defaults to the running test's own.
+std::filesystem::path fresh_path(
+    const std::string& name,
+    const std::filesystem::path& dir = sva::testing::test_temp_dir()) {
+  return dir / (name + ".svab");
 }
 
 std::vector<std::uint8_t> slurp(const std::filesystem::path& path) {
@@ -73,8 +74,8 @@ struct Fixture {
   corpus::CorpusSpec spec = delta_spec();
   corpus::GeneratedReader reader{spec};
   std::size_t n_base = 0;
-  std::filesystem::path base = fresh_path("base");
-  std::filesystem::path reference = fresh_path("reference");
+  std::filesystem::path base = fresh_path("base", sva::testing::program_temp_dir());
+  std::filesystem::path reference = fresh_path("reference", sva::testing::program_temp_dir());
   std::vector<std::uint8_t> reference_bytes;
   DeltaReport reference_report;
   std::vector<query::SimilarDoc> reference_hits;
@@ -158,8 +159,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DeltaCase{2, ga::Backend::kProcess},
                       DeltaCase{4, ga::Backend::kProcess}),
     [](const ::testing::TestParamInfo<DeltaCase>& info) {
-      return "P" + std::to_string(info.param.nprocs) + "_" +
-             std::string(ga::backend_name(info.param.backend));
+      // Appended piecewise: GCC 12 flags the temporary operator+ chain
+      // with -Wrestrict in Release builds.
+      std::string name = "P";
+      name += std::to_string(info.param.nprocs);
+      name += '_';
+      name += ga::backend_name(info.param.backend);
+      return name;
     });
 
 TEST(DeltaTest, RecomputeItselfIsProcessorCountIndependent) {

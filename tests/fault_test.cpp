@@ -17,6 +17,7 @@
 #include "sva/engine/section_file.hpp"
 #include "sva/fault/fault.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva::fault {
 namespace {
@@ -176,9 +177,7 @@ constexpr char kMagic[8] = {'T', 'E', 'S', 'T', 'F', 'L', 'T', '1'};
 constexpr std::uint64_t kVersion = 1;
 
 std::filesystem::path write_test_file(const std::string& name) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_fault_" + name + "_" + std::to_string(::getpid()) + ".bin");
-  std::filesystem::remove(path);
+  const auto path = sva::testing::test_temp_dir() / (name + ".bin");
   engine::SectionedFile f;
   f.tag = 1;
   f.add("payload", std::vector<std::uint8_t>(512, 0xAB));
@@ -212,9 +211,7 @@ TEST_F(FaultTest, InjectedShortReadIsRejectedLikeRealTruncation) {
 }
 
 TEST_F(FaultTest, InjectedWriteFaultLeavesNoArtifactBehind) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_fault_wr_" + std::to_string(::getpid()) + ".bin");
-  std::filesystem::remove(path);
+  const auto path = sva::testing::test_temp_dir() / "wr.bin";
   configure(std::string(sites::kSectionFileWrite) + ":error:hit=1");
   engine::SectionedFile f;
   f.add("payload", std::vector<std::uint8_t>(64, 1));

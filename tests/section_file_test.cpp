@@ -15,6 +15,7 @@
 
 #include "sva/engine/section_file.hpp"
 #include "sva/util/error.hpp"
+#include "temp_path.hpp"
 
 namespace sva::engine {
 namespace {
@@ -23,9 +24,7 @@ constexpr char kMagic[8] = {'T', 'E', 'S', 'T', 'S', 'E', 'C', '1'};
 constexpr std::uint64_t kVersion = 1;
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   ("sva_secfile_" + name + "_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  const auto dir = sva::testing::test_temp_dir() / name;
   std::filesystem::create_directories(dir);
   return dir;
 }

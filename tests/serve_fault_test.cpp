@@ -33,6 +33,7 @@
 #include "sva/serve/protocol.hpp"
 #include "sva/serve/scheduler.hpp"
 #include "sva/serve/server.hpp"
+#include "temp_path.hpp"
 
 namespace sva::serve {
 namespace {
@@ -94,10 +95,7 @@ constexpr std::size_t kDim = 9;
 constexpr std::size_t kClusters = 3;
 
 std::filesystem::path fresh_path(const std::string& name, const char* ext) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_servefault_" + name + "_" + std::to_string(::getpid()) + ext);
-  std::filesystem::remove(path);
-  return path;
+  return sva::testing::test_temp_dir() / (name + ext);
 }
 
 std::filesystem::path make_bundle(const std::string& name) {
@@ -163,7 +161,6 @@ TEST_F(ServeFaultTest, ProcessRankDeathFailsInFlightRespawnsAndAnswersIdenticall
   ServeOptions options;
   options.procs = 2;
   options.backend = ga::Backend::kProcess;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 0;  // every answer must come from a real sweep
   options.respawn_backoff = std::chrono::milliseconds(10);
   Server server(bundle, options);
@@ -208,7 +205,6 @@ TEST_F(ServeFaultTest, ThreadWorldErrorRespawnsAndKeepsServing) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 0;
   options.respawn_backoff = std::chrono::milliseconds(10);
   Server server(bundle, options);
@@ -234,7 +230,6 @@ TEST_F(ServeFaultTest, SupervisorGivesUpWhenTheBundleNeverRevalidates) {
   const auto bundle = make_bundle("giveup");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 0;
   options.max_respawn_attempts = 2;
   options.respawn_backoff = std::chrono::milliseconds(5);
@@ -273,7 +268,6 @@ TEST_F(ServeFaultTest, ReloadFaultFailsTheRequestAndTheOldSessionKeepsServing) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 0;
   Server server(bundle, options);
   server.start();
@@ -301,8 +295,7 @@ TEST_F(ServeFaultTest, ReloadFaultFailsTheRequestAndTheOldSessionKeepsServing) {
 }
 
 TEST_F(ServeFaultTest, QueuedQueriesExpireAtTheAdmissionDeadline) {
-  AdmissionScheduler scheduler(4, std::chrono::microseconds(500),
-                               std::chrono::milliseconds(30));
+  AdmissionScheduler scheduler(4, std::chrono::milliseconds(30));
   auto future = scheduler.submit(query::Query::similar_doc(0, 1), 0, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   // Nothing is calling take_batch (the world is "down"); the supervisor's
@@ -327,7 +320,6 @@ TEST_F(ServeFaultTest, ClientRoundtripRetriesAcrossARespawn) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 0;
   options.respawn_backoff = std::chrono::milliseconds(10);
   Server server(bundle, options);
@@ -367,7 +359,6 @@ TEST_F(ServeFaultTest, SocketLineFaultAnswersErrorAndTheConnectionSurvives) {
   const auto bundle = make_bundle("sockline");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
   SocketIngress ingress(server, fresh_path("linesock", ".sock"));
@@ -391,13 +382,10 @@ TEST_F(ServeFaultTest, SpoolFaultHandsTheClaimBackAndTheFileIsStillAnswered) {
   const auto bundle = make_bundle("spoolfault");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
-  const auto spool = std::filesystem::path(::testing::TempDir()) /
-                     ("sva_servefault_spool_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(spool);
+  const auto spool = sva::testing::test_temp_dir() / "spool";
   FileQueueIngress ingress(server, spool, std::chrono::milliseconds(5));
   ingress.start();
 
@@ -430,12 +418,9 @@ TEST_F(ServeFaultTest, StaleClaimsFromADeadPollerAreSweptBackAndServed) {
   const auto bundle = make_bundle("staleclaim");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
 
-  const auto spool = std::filesystem::path(::testing::TempDir()) /
-                     ("sva_servefault_stale_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(spool);
+  const auto spool = sva::testing::test_temp_dir() / "stale";
   std::filesystem::create_directories(spool);
 
   // A request claimed by a poller that no longer exists.  A pid near the

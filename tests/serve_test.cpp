@@ -1,7 +1,8 @@
 // Tests for the serving daemon stack (serve/): protocol grammar, result
-// cache, admission coalescing, cache-hit bit-identity against the
-// uncached path, deadline flushes, bundle reload invalidation, clean
-// shutdown mid-batch, and the socket ingress end to end.
+// cache, work-conserving admission, coalescing behind a running sweep,
+// cache-hit bit-identity against the uncached path, bundle reload
+// invalidation, clean shutdown mid-batch, and the socket ingress end to
+// end.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,10 +23,13 @@
 #include "sva/corpus/reader.hpp"
 #include "sva/engine/bundle.hpp"
 #include "sva/engine/engine.hpp"
+#include "sva/fault/fault.hpp"
 #include "sva/serve/cache.hpp"
 #include "sva/serve/ingress.hpp"
 #include "sva/serve/protocol.hpp"
+#include "sva/serve/scheduler.hpp"
 #include "sva/serve/server.hpp"
+#include "temp_path.hpp"
 
 namespace sva::serve {
 namespace {
@@ -89,10 +93,7 @@ constexpr std::size_t kDim = 9;
 constexpr std::size_t kClusters = 3;
 
 std::filesystem::path fresh_path(const std::string& name, const char* ext) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_serve_" + name + "_" + std::to_string(::getpid()) + ext);
-  std::filesystem::remove(path);
-  return path;
+  return sva::testing::test_temp_dir() / (name + ext);
 }
 
 /// Exports the standard test bundle (written at P=2) and returns its path.
@@ -284,11 +285,14 @@ TEST(ServeTest, CoalescesConcurrentQueriesIntoFewerSweeps) {
   ServeOptions options;
   options.procs = 2;
   options.batch_max = 8;
-  options.batch_deadline = std::chrono::milliseconds(10);
   options.cache_capacity = 0;  // count every query as a sweep rider
   Server server(bundle, options);
   server.start();
 
+  // Hold the first sweep (the thread backend shares the fault substrate,
+  // so arming after start() counts from here): the first query leaves
+  // alone, the other 31 queue behind it and ride the next sweeps.
+  fault::configure(std::string(fault::sites::kServeSweep) + ":delay:rank=0,hit=1,ms=200");
   std::vector<std::future<query::QueryResult>> futures;
   futures.reserve(queries.size());
   for (const auto& q : queries) futures.push_back(server.submit(q));
@@ -296,6 +300,7 @@ TEST(ServeTest, CoalescesConcurrentQueriesIntoFewerSweeps) {
     const auto result = futures[i].get();
     EXPECT_EQ(format_result(result), expected[i]) << "query " << i;
   }
+  fault::reset();
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.scheduler.submitted, queries.size());
@@ -328,7 +333,6 @@ TEST(ServeTest, CacheHitIsBitIdenticalToUncachedAnswer) {
   ServeOptions options;
   options.procs = 2;
   options.batch_max = 4;
-  options.batch_deadline = std::chrono::milliseconds(1);
   options.cache_capacity = 64;
   Server server(bundle, options);
   server.start();
@@ -353,31 +357,39 @@ TEST(ServeTest, CacheHitIsBitIdenticalToUncachedAnswer) {
   server.join();
 }
 
-TEST(ServeTest, DeadlineFlushesALoneQuery) {
-  const auto bundle = make_bundle("deadline");
-  ServeOptions options;
-  options.procs = 2;
-  options.batch_max = 1024;  // size trigger unreachable
-  options.batch_deadline = std::chrono::milliseconds(2);
-  Server server(bundle, options);
-  server.start();
+TEST(SchedulerTest, ReleasesPendingQueriesAtOnceSplitAtBatchMax) {
+  AdmissionScheduler scheduler(16);
+  // A lone query leaves at once: there is no window to wait out.
+  (void)scheduler.submit(query::Query::similar_doc(0, 1), 100, {});
+  auto first = scheduler.take_batch();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].digest, 100u);
 
-  // A lone query must not wait for a full batch: the deadline flushes it.
-  const auto result = server.submit(query::Query::similar_doc(5, 4)).get();
-  EXPECT_EQ(result.hits.size(), 4u);
-  const auto stats = server.stats();
-  EXPECT_GE(stats.scheduler.deadline_flushes, 1u);
-  EXPECT_EQ(stats.scheduler.size_flushes, 0u);
+  // Twenty queued while the world was busy ride two batches, 16 then 4,
+  // in admission order.
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    (void)scheduler.submit(query::Query::similar_doc(i, 1), i, {});
+  }
+  const auto full = scheduler.take_batch();
+  const auto rest = scheduler.take_batch();
+  ASSERT_EQ(full.size(), 16u);
+  ASSERT_EQ(rest.size(), 4u);
+  for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(full[i].digest, i);
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(rest[i].digest, 16 + i);
+  EXPECT_EQ(scheduler.pending(), 0u);
 
-  server.stop();
-  server.join();
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, 21u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.size_flushes, 1u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_EQ(stats.max_batch, 16u);
 }
 
 TEST(ServeTest, RejectsInadmissibleQueriesWithoutPoisoningTheWorld) {
   const auto bundle = make_bundle("reject");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
@@ -403,7 +415,6 @@ TEST(ServeTest, ReloadInvalidatesCacheAndKeepsAnswersIdentical) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
@@ -429,7 +440,6 @@ TEST(ServeTest, ReloadOfMissingBundleFailsWithoutKillingTheDaemon) {
   const auto bundle = make_bundle("reloadbad");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
@@ -447,7 +457,6 @@ TEST(ServeTest, CleanShutdownMidBatch) {
   ServeOptions options;
   options.procs = 2;
   options.batch_max = 4;
-  options.batch_deadline = std::chrono::milliseconds(20);
   options.cache_capacity = 0;
   Server server(bundle, options);
   server.start();
@@ -483,7 +492,6 @@ TEST(ServeTest, GracefulStopDrainsQueuedQueries) {
   ServeOptions options;
   options.procs = 2;
   options.batch_max = 8;
-  options.batch_deadline = std::chrono::milliseconds(50);
   options.cache_capacity = 0;  // a repeated query must still be swept
   Server server(bundle, options);
   server.start();
@@ -507,7 +515,6 @@ TEST(ServeTest, SocketIngressAnswersProtocolLines) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
   SocketIngress ingress(server, fresh_path("sock", ".sock"));
@@ -606,7 +613,6 @@ TEST(ServeTest, StatsResponseCarriesReloadAndGenerationCounters) {
   const auto bundle = make_bundle("statsgen");
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
@@ -645,7 +651,6 @@ TEST(ServeTest, IngestVerbAdvancesTheGenerationOverTheWire) {
   const IngestFixture& f = ingest_fixture();
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(f.bundle, options);
   server.start();
   EXPECT_EQ(server.num_documents(), f.base_records);
@@ -681,7 +686,6 @@ TEST(ServeTest, IngestOfMissingDocsFileFailsWithoutKillingTheDaemon) {
   const IngestFixture& f = ingest_fixture();
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(f.bundle, options);
   server.start();
 
@@ -704,13 +708,10 @@ TEST(ServeTest, FileQueueIngressAnswersRequestFiles) {
 
   ServeOptions options;
   options.procs = 2;
-  options.batch_deadline = std::chrono::milliseconds(1);
   Server server(bundle, options);
   server.start();
 
-  const auto spool = std::filesystem::path(::testing::TempDir()) /
-                     ("sva_serve_spool_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(spool);
+  const auto spool = sva::testing::test_temp_dir() / "spool";
   FileQueueIngress ingress(server, spool, std::chrono::milliseconds(5));
   ingress.start();
 

@@ -20,13 +20,20 @@
 #include "sva/engine/bundle.hpp"
 #include "sva/engine/engine.hpp"
 #include "sva/query/session.hpp"
+#include "temp_path.hpp"
+#include "test_oracles.hpp"
 
 namespace sva::query {
 namespace {
 
 /// Deterministic block-distributed signature set (three angular groups),
-/// the same construction query_test uses.
-sig::SignatureSet make_signatures(ga::Context& ctx, std::size_t n, std::size_t dim) {
+/// the same construction query_test uses.  With `tie_groups` > 0 the
+/// noise is dropped and row g carries pattern g % tie_groups exactly, so
+/// each pattern's documents tie on every score, across ranks; row g is
+/// then document (7g mod n) (n coprime to 7), so rows do not arrive in
+/// doc-id order and only the doc-id tie-break can decide a cut.
+sig::SignatureSet make_signatures(ga::Context& ctx, std::size_t n, std::size_t dim,
+                                  std::size_t tie_groups = 0) {
   const auto nprocs = static_cast<std::size_t>(ctx.nprocs());
   const std::size_t per = (n + nprocs - 1) / nprocs;
   const std::size_t begin = std::min(n, static_cast<std::size_t>(ctx.rank()) * per);
@@ -37,12 +44,15 @@ sig::SignatureSet make_signatures(ga::Context& ctx, std::size_t n, std::size_t d
   s.docvecs = Matrix(end - begin, dim);
   for (std::size_t g = begin; g < end; ++g) {
     const std::size_t i = g - begin;
-    const std::size_t group = g % 3;
+    const std::size_t groups = tie_groups == 0 ? 3 : tie_groups;
+    const std::size_t group = g % groups;
     for (std::size_t d = 0; d < dim; ++d) {
-      const double base = (d % 3 == group) ? 1.0 : 0.05;
-      s.docvecs.at(i, d) = base + 0.01 * static_cast<double>((g * 7 + d * 13) % 10);
+      const double base = (d % groups == group) ? 1.0 : 0.05;
+      const double noise =
+          tie_groups == 0 ? 0.01 * static_cast<double>((g * 7 + d * 13) % 10) : 0.0;
+      s.docvecs.at(i, d) = base + noise;
     }
-    s.doc_ids.push_back(static_cast<std::uint64_t>(g));
+    s.doc_ids.push_back(static_cast<std::uint64_t>(tie_groups == 0 ? g : g * 7 % n));
     s.is_null.push_back(false);
   }
   return s;
@@ -184,9 +194,9 @@ TEST(BatchTest, DuplicateDocQueriesEachGetAnswers) {
 /// way the engine's do (signatures/assignment/projection row-aligned,
 /// topic terms resolvable through the vocabulary).
 engine::EngineResult make_result(ga::Context& ctx, std::size_t n, std::size_t dim,
-                                 std::size_t k) {
+                                 std::size_t k, std::size_t tie_groups = 0) {
   engine::EngineResult r;
-  r.signatures = make_signatures(ctx, n, dim);
+  r.signatures = make_signatures(ctx, n, dim, tie_groups);
   r.dimension = dim;
   r.num_records = n;
 
@@ -212,10 +222,7 @@ engine::EngineResult make_result(ga::Context& ctx, std::size_t n, std::size_t di
 }
 
 std::filesystem::path fresh_bundle(const std::string& name) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("sva_session_" + name + "_" + std::to_string(::getpid()) + ".svab");
-  std::filesystem::remove(path);
-  return path;
+  return sva::testing::test_temp_dir() / (name + ".svab");
 }
 
 class SessionProcsTest : public ::testing::TestWithParam<int> {};
@@ -436,6 +443,81 @@ TEST(SessionTest, SubThemeLabelsResolveThroughTheVocabularySlice) {
       }
     }
   });
+}
+
+TEST(SessionTest, TiedScoresAcrossRanksMatchTheBruteForceOracle) {
+  // Four exact row patterns over 40 documents: every score ties within a
+  // pattern's ten documents, which spread over every rank, and each k
+  // below cuts through a tie group.  Doc-id order must decide the cut
+  // exactly as a serial brute force does, whether the row norms come
+  // from the Session (computed at open) or from the sweep itself.
+  constexpr std::size_t kN = 40;
+  constexpr std::size_t kDimT = 6;
+  const auto bundle = fresh_bundle("ties");
+  ga::spmd_run(2, [&](ga::Context& ctx) {
+    const auto r = make_result(ctx, kN, kDimT, 4, /*tie_groups=*/4);
+    engine::export_bundle(ctx, r, engine::EngineConfig{}, bundle);
+  });
+
+  std::vector<double> probe(kDimT, 0.05);
+  probe[1] = probe[5] = 1.0;  // pattern 1 exactly
+  const std::vector<Query> batch = {
+      Query::similar_doc(8, 7),   Query::similar_doc(13, 4), Query::similar_probe(probe, 5),
+      Query::cluster_summary(0, 3), Query::cluster_summary(2, 6),
+  };
+
+  for (const int nprocs : {1, 2, 4}) {
+    ga::spmd_run(nprocs, [&](ga::Context& ctx) {
+      auto session = Session::open(ctx, bundle);
+      const auto& view = session.bundle();
+      const QueryInputs bare{&view.signatures, &view.clustering.assignment, &view.clustering,
+                             &view.theme_labels};
+      const auto served = session.run_batch(batch);
+      const auto swept = run_query_batch(ctx, bare, batch);
+
+      // The oracle's inputs: every row, id and cluster, gathered.
+      const auto ids = ctx.allgatherv(std::span<const std::uint64_t>(view.signatures.doc_ids));
+      const auto rows = ctx.allgatherv(view.signatures.docvecs.flat());
+      const auto assignment =
+          ctx.allgatherv(std::span<const std::int32_t>(view.clustering.assignment));
+      if (ctx.rank() != 0) return;
+
+      for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+        const Query& q = batch[qi];
+        SCOPED_TRACE("P=" + std::to_string(nprocs) + " query " + std::to_string(qi));
+        if (q.kind == Query::Kind::kClusterSummary) {
+          const auto row = view.clustering.centroids.row(static_cast<std::size_t>(q.cluster));
+          const std::vector<double> centroid(row.begin(), row.end());
+          const auto want = sva::testing::top_k_representatives(ids, rows, kDimT, assignment,
+                                                                centroid, q.cluster, q.k + 1);
+          ASSERT_EQ(want.size(), q.k + 1);
+          EXPECT_TRUE(same_bits(want[q.k - 1].second, want[q.k].second)) << "k cuts no tie";
+          std::vector<std::uint64_t> reps;
+          for (std::size_t j = 0; j < q.k; ++j) reps.push_back(want[j].first);
+          EXPECT_EQ(served[qi].summary.representatives, reps);
+          EXPECT_EQ(swept[qi].summary.representatives, reps);
+          continue;
+        }
+        std::vector<double> p = q.probe;
+        std::optional<std::uint64_t> exclude;
+        if (q.kind == Query::Kind::kSimilarByDoc) {
+          const auto at = static_cast<std::size_t>(
+              std::find(ids.begin(), ids.end(), q.doc_id) - ids.begin());
+          p.assign(rows.begin() + static_cast<std::ptrdiff_t>(at * kDimT),
+                   rows.begin() + static_cast<std::ptrdiff_t>((at + 1) * kDimT));
+          exclude = q.doc_id;
+        }
+        auto want = sva::testing::top_k_similar(ids, rows, kDimT, p, q.k + 1, exclude);
+        ASSERT_EQ(want.size(), q.k + 1);
+        EXPECT_TRUE(same_bits(want[q.k - 1].second, want[q.k].second)) << "k cuts no tie";
+        want.pop_back();
+        std::vector<SimilarDoc> hits;
+        for (const auto& [id, score] : want) hits.push_back({id, score});
+        expect_same_hits(served[qi].hits, hits);
+        expect_same_hits(swept[qi].hits, hits);
+      }
+    });
+  }
 }
 
 TEST(SessionTest, UnknownDocThrowsThroughTheSession) {

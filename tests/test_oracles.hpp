@@ -3,10 +3,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sva/corpus/document.hpp"
@@ -98,6 +101,62 @@ inline corpus::SourceSet tiny_corpus() {
   add(2, {{"TI", "inverted file indexing"}, {"AB", "fastinv builds inverted index tables"}});
   add(3, {{"TI", "visual terrain themes"}, {"AB", "themeview terrain shows visual themes"}});
   return s;
+}
+
+/// (doc id, score) pairs ordered best first.
+using ScoredDocs = std::vector<std::pair<std::uint64_t, double>>;
+
+/// Serial "more like this": the cosine of `probe` against every row of
+/// `rows` (row-major, `dim` wide, aligned with `ids`; no null rows),
+/// `exclude` skipped, descending cosine and ascending doc id on ties;
+/// the first `k`.  Each sum runs in element order, as the query plane's.
+inline ScoredDocs top_k_similar(const std::vector<std::uint64_t>& ids,
+                                const std::vector<double>& rows, std::size_t dim,
+                                const std::vector<double>& probe, std::size_t k,
+                                std::optional<std::uint64_t> exclude) {
+  ScoredDocs all;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (exclude && ids[i] == *exclude) continue;
+    double dot = 0.0;
+    double na = 0.0;
+    double nb = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      dot += rows[i * dim + d] * probe[d];
+      na += rows[i * dim + d] * rows[i * dim + d];
+      nb += probe[d] * probe[d];
+    }
+    all.emplace_back(ids[i], (na <= 0.0 || nb <= 0.0) ? 0.0 : dot / std::sqrt(na * nb));
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// Serial cluster representatives: the members of `cluster` by
+/// ascending squared distance to `centroid`, ascending doc id on ties;
+/// the first `k`.
+inline ScoredDocs top_k_representatives(const std::vector<std::uint64_t>& ids,
+                                        const std::vector<double>& rows, std::size_t dim,
+                                        const std::vector<std::int32_t>& assignment,
+                                        const std::vector<double>& centroid, int cluster,
+                                        std::size_t k) {
+  ScoredDocs all;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (assignment[i] != cluster) continue;
+    double d2 = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double diff = rows[i * dim + d] - centroid[d];
+      d2 += diff * diff;
+    }
+    all.emplace_back(ids[i], d2);
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
 }
 
 }  // namespace sva::testing

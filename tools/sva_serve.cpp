@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
   std::string send_line;
   serve::ServeOptions options;
   std::uint64_t batch_max = options.batch_max;
-  std::uint64_t deadline_us =
-      static_cast<std::uint64_t>(options.batch_deadline.count());
   std::uint64_t cache_capacity = options.cache_capacity;
   std::uint64_t admission_deadline_ms =
       static_cast<std::uint64_t>(options.admission_deadline.count());
@@ -83,10 +81,10 @@ int main(int argc, char** argv) {
   p.option("--spool", "DIR", "also poll DIR for *.req file-queue requests",
            [&](const std::string& v) { spool_dir = v; });
   p.section("admission scheduler");
-  p.u64("--batch-max", "N", "flush a sweep at N pending queries (default 16)",
+  p.u64("--batch-max", "N",
+        "most pending queries one sweep carries; a sweep starts as soon as the "
+        "world is idle (default 16)",
         &batch_max);
-  p.u64("--deadline-us", "U", "...or once the oldest has waited U us (default 2000)",
-        &deadline_us);
   p.u64("--cache", "N", "result-cache entries, 0 disables (default 1024)",
         &cache_capacity);
   p.section("failure plane");
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
 
   if (batch_max < 1) p.die("--batch-max must be >= 1");
   options.batch_max = static_cast<std::size_t>(batch_max);
-  options.batch_deadline = std::chrono::microseconds(deadline_us);
   options.cache_capacity = static_cast<std::size_t>(cache_capacity);
   options.admission_deadline = std::chrono::milliseconds(admission_deadline_ms);
   if (!fault_spec.empty()) {
