@@ -42,10 +42,11 @@ bool is_similarity(Query::Kind kind) { return kind != Query::Kind::kClusterSumma
 /// Offers `c` to `heap`, which keeps the `k` best candidates under the
 /// total order `cmp` with the worst kept one at its front.  Because the
 /// order is total, the kept set is exactly the top k however the rows
-/// arrive.
+/// arrive.  `k == 0` keeps nothing.
 template <typename Cmp>
 void keep_top(std::vector<TaggedCandidate>& heap, std::size_t k, const TaggedCandidate& c,
               Cmp cmp) {
+  if (k == 0) return;
   if (heap.size() < k) {
     heap.push_back(c);
     std::push_heap(heap.begin(), heap.end(), cmp);

@@ -174,7 +174,7 @@ TEST(ReportTest, WriteReportEmitsParseableSchemaVersionedJson) {
   report.data["series"] = json::Value::array();
   report.record_checksum("cfg", 1, 0xdeadbeefULL);
 
-  const auto dir = sva::testing::unique_temp_path("report");
+  const auto dir = sva::testing::test_temp_dir() / "report";
   std::filesystem::remove_all(dir);
   const auto path = report::write_report(report, dir);
   EXPECT_EQ(path.filename().string(), "BENCH_unit_probe.json");

@@ -298,7 +298,7 @@ TEST(ProjectionTest, GathersAllCoordinatesOnRankZero) {
 }
 
 TEST(ProjectionTest, WriteCoordinatesRoundTrip) {
-  const auto dir = sva::testing::unique_temp_path("proj");
+  const auto dir = sva::testing::test_temp_dir() / "proj";
   const auto path = (dir / "coords.csv").string();
   write_coordinates(path, {7, 8}, {1.0, 2.0, 3.0, 4.0});
   std::ifstream in(path);

@@ -24,7 +24,7 @@
 namespace sva {
 namespace {
 
-using sva::testing::unique_temp_path;
+using sva::testing::test_temp_dir;
 
 // ---- sig/persist ------------------------------------------------------------
 
@@ -72,7 +72,7 @@ void roundtrip_signatures(int nprocs, std::size_t rows, std::size_t dim,
     }
   }
 
-  const auto path = unique_temp_path(tag + ".bin");
+  const auto path = test_temp_dir() / (tag + ".bin");
   ga::spmd_run(nprocs, [&](ga::Context& ctx) {
     const auto s = shard_rows(ctx, doc_ids, nulls, all, dim);
     sig::write_signatures(ctx, path.string(), s, names);
@@ -153,11 +153,11 @@ TEST(PersistRoundtripTest, FuzzedShapes) {
 
 TEST(PersistRoundtripTest, TruncatedFilesThrowFormatError) {
   std::mt19937_64 rng(21);
-  const auto path = unique_temp_path("trunc.bin");
+  const auto path = test_temp_dir() / "trunc.bin";
   roundtrip_signatures(1, 6, 4, ascii_names(4), rng, "trunc_src");
 
   // Rebuild a valid store, then replay every strict prefix of it.
-  const auto full_path = unique_temp_path("full.bin");
+  const auto full_path = test_temp_dir() / "full.bin";
   ga::spmd_run(1, [&](ga::Context& ctx) {
     std::vector<std::uint64_t> ids = {1, 2, 3};
     std::vector<bool> nulls = {false, true, false};

@@ -14,7 +14,7 @@
 namespace sva::sig {
 namespace {
 
-using sva::testing::unique_temp_path;
+using sva::testing::test_temp_dir;
 
 /// Builds a small deterministic SignatureSet on each rank.
 SignatureSet make_set(ga::Context& ctx, std::size_t n_total, std::size_t dim) {
@@ -40,7 +40,7 @@ class PersistProcsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PersistProcsTest, RoundTripPreservesEverything) {
   const int nprocs = GetParam();
-  const auto path = unique_temp_path("sigs.bin");
+  const auto path = test_temp_dir() / "sigs.bin";
   const std::vector<std::string> names = {"alpha", "beta", "gamma", "delta"};
 
   ga::spmd_run(nprocs, [&](ga::Context& ctx) {
@@ -66,8 +66,8 @@ TEST_P(PersistProcsTest, RoundTripPreservesEverything) {
 
 TEST_P(PersistProcsTest, FileIsIdenticalForEveryP) {
   const int nprocs = GetParam();
-  const auto path_p = unique_temp_path("p.bin");
-  const auto path_1 = unique_temp_path("1.bin");
+  const auto path_p = test_temp_dir() / "p.bin";
+  const auto path_1 = test_temp_dir() / "1.bin";
   const std::vector<std::string> names = {"t0", "t1", "t2"};
 
   ga::spmd_run(1, [&](ga::Context& ctx) {
@@ -94,7 +94,7 @@ TEST(PersistTest, MissingFileThrows) {
 }
 
 TEST(PersistTest, CorruptMagicThrows) {
-  const auto path = unique_temp_path("corrupt.bin");
+  const auto path = test_temp_dir() / "corrupt.bin";
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTSIGSFILE_____garbage";
@@ -104,7 +104,7 @@ TEST(PersistTest, CorruptMagicThrows) {
 }
 
 TEST(PersistTest, TruncatedFileThrows) {
-  const auto path = unique_temp_path("trunc.bin");
+  const auto path = test_temp_dir() / "trunc.bin";
   ga::spmd_run(1, [&](ga::Context& ctx) {
     write_signatures(ctx, path.string(), make_set(ctx, 9, 3), {"a", "b", "c"});
   });
@@ -116,7 +116,7 @@ TEST(PersistTest, TruncatedFileThrows) {
 }
 
 TEST(PersistTest, EmptySignatureSetRoundTrips) {
-  const auto path = unique_temp_path("empty.bin");
+  const auto path = test_temp_dir() / "empty.bin";
   ga::spmd_run(1, [&](ga::Context& ctx) {
     SignatureSet s;
     s.dimension = 5;

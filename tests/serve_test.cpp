@@ -462,7 +462,9 @@ TEST(ServeTest, CleanShutdownMidBatch) {
   server.start();
 
   // Flood, then yank the world out mid-flight: every future must resolve
-  // (answer or clean failure) and join() must not report a fault.
+  // (answer or clean failure) and join() must not report a fault.  The
+  // first sweep is held, so stop_now() meets at least 60 queued queries.
+  fault::configure(std::string(fault::sites::kServeSweep) + ":delay:rank=0,hit=1,ms=200");
   const auto queries = mixed_queries(64);
   std::vector<std::future<query::QueryResult>> futures;
   futures.reserve(queries.size());
@@ -481,7 +483,11 @@ TEST(ServeTest, CleanShutdownMidBatch) {
   }
   EXPECT_EQ(answered + failed, queries.size());
   EXPECT_NO_THROW(server.join());
+  fault::reset();
   EXPECT_FALSE(server.running());
+  // What was still queued failed instead of being swept.
+  EXPECT_GE(failed, queries.size() - options.batch_max);
+  EXPECT_GE(server.stats().scheduler.drain_flushes, 1u);
 
   // Late submissions fail fast instead of hanging.
   EXPECT_THROW(server.submit(query::Query::similar_doc(1, 2)).get(), Error);
@@ -496,14 +502,19 @@ TEST(ServeTest, GracefulStopDrainsQueuedQueries) {
   Server server(bundle, options);
   server.start();
 
+  // Hold the first sweep, so stop() meets at least 4 queued queries.
+  fault::configure(std::string(fault::sites::kServeSweep) + ":delay:rank=0,hit=1,ms=200");
   const auto queries = mixed_queries(12);
   std::vector<std::future<query::QueryResult>> futures;
   for (const auto& q : queries) futures.push_back(server.submit(q));
   server.stop();   // graceful: everything already admitted must answer
   server.join();
+  fault::reset();
 
   for (auto& f : futures) EXPECT_NO_THROW((void)f.get());
-  EXPECT_EQ(server.stats().queries_swept, queries.size());
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.queries_swept, queries.size());
+  EXPECT_GE(stats.scheduler.drain_flushes, 1u);
 }
 
 // ---- socket ingress end to end -----------------------------------------
@@ -557,9 +568,11 @@ TEST(ServeTest, SocketIngressAnswersProtocolLines) {
 /// Engine::run, unlike the synthetic make_bundle exports) — the kind
 /// `ingest` can extend — plus a docs file with a few extra documents of
 /// the same family, one per line.
+/// Built once per process and shared by the ingest tests, so its files
+/// live in the program directory, not in the first test's own.
 struct IngestFixture {
-  std::filesystem::path bundle = fresh_path("ingestbase", ".svab");
-  std::filesystem::path docs = fresh_path("newdocs", ".txt");
+  std::filesystem::path bundle = sva::testing::program_temp_dir() / "ingestbase.svab";
+  std::filesystem::path docs = sva::testing::program_temp_dir() / "newdocs.txt";
   std::uint64_t base_records = 0;
   std::size_t num_new = 0;
 

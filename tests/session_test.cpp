@@ -520,6 +520,34 @@ TEST(SessionTest, TiedScoresAcrossRanksMatchTheBruteForceOracle) {
   }
 }
 
+TEST(SessionTest, ZeroRepresentativesKeepTheCohesion) {
+  // A summary asking for no representatives still sweeps every member for
+  // its cohesion; it only keeps none of them, on every rank that owns one.
+  const auto bundle = fresh_bundle("zero_reps");
+  ga::spmd_run(2, [&](ga::Context& ctx) {
+    const auto r = make_result(ctx, 30, 6, 3);
+    engine::export_bundle(ctx, r, engine::EngineConfig{}, bundle);
+  });
+  for (const int nprocs : {1, 2, 4}) {
+    ga::spmd_run(nprocs, [&](ga::Context& ctx) {
+      auto session = Session::open(ctx, bundle);
+      const auto& view = session.bundle();
+      for (int c = 0; c < 3; ++c) {
+        SCOPED_TRACE("P=" + std::to_string(nprocs) + " cluster " + std::to_string(c));
+        const auto none = session.cluster_summary(c, 0);
+        const auto some = session.cluster_summary(c, 4);
+        const auto free_none = summarize_cluster(ctx, view.signatures,
+                                                 view.clustering.assignment, view.clustering,
+                                                 view.theme_labels, c, 0);
+        EXPECT_TRUE(none.representatives.empty());
+        EXPECT_FALSE(some.representatives.empty());
+        EXPECT_TRUE(same_bits(none.cohesion, some.cohesion));
+        expect_same_summary(none, free_none);
+      }
+    });
+  }
+}
+
 TEST(SessionTest, UnknownDocThrowsThroughTheSession) {
   const auto bundle = fresh_bundle("unknown");
   ga::spmd_run(1, [&](ga::Context& ctx) {

@@ -59,10 +59,4 @@ inline std::filesystem::path test_temp_dir() { return detail::created("test"); }
 /// the test program ends.
 inline std::filesystem::path program_temp_dir() { return detail::created("program"); }
 
-/// `<test dir>/<name>`: unique to the running test and process, so
-/// parallel cases never share a file or directory.
-inline std::filesystem::path unique_temp_path(const std::string& name) {
-  return test_temp_dir() / name;
-}
-
 }  // namespace sva::testing

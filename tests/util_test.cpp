@@ -246,7 +246,7 @@ TEST(TableTest, NumFormatting) {
 }
 
 TEST(TableTest, WriteCsvCreatesDirectories) {
-  const auto dir = sva::testing::unique_temp_path("table");
+  const auto dir = sva::testing::test_temp_dir() / "table";
   std::filesystem::remove_all(dir);
   Table t({"x"});
   t.add_row({"1"});
