@@ -128,4 +128,13 @@ struct ShardingConfig {
 std::vector<std::pair<std::size_t, std::size_t>> plan_shards(const CorpusReader& reader,
                                                              const ShardingConfig& config);
 
+/// The rank slices one shard is scanned in: `shard` cut into `nprocs`
+/// contiguous, ascending, byte-balanced document ranges (corpus
+/// positions; `doc_sizes` covers the whole corpus).  When the shard holds
+/// at least `nprocs` documents every slice is non-empty, so every rank
+/// scans a share of every such shard.
+std::vector<std::pair<std::size_t, std::size_t>> slice_shard(
+    const std::vector<std::size_t>& doc_sizes, std::pair<std::size_t, std::size_t> shard,
+    int nprocs);
+
 }  // namespace sva::corpus

@@ -49,4 +49,31 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(const CorpusReader&
   return partition_sizes_by_bytes(reader.doc_sizes(), static_cast<int>(shards));
 }
 
+std::vector<std::pair<std::size_t, std::size_t>> slice_shard(
+    const std::vector<std::size_t>& doc_sizes, std::pair<std::size_t, std::size_t> shard,
+    int nprocs) {
+  require(shard.first <= shard.second && shard.second <= doc_sizes.size(),
+          "slice_shard: shard outside the corpus");
+  const std::vector<std::size_t> sizes(
+      doc_sizes.begin() + static_cast<std::ptrdiff_t>(shard.first),
+      doc_sizes.begin() + static_cast<std::ptrdiff_t>(shard.second));
+  auto slices = partition_sizes_by_bytes(sizes, nprocs);
+  const std::size_t n = sizes.size();
+  const auto p = static_cast<std::size_t>(nprocs);
+  if (n >= p) {
+    // A document larger than a byte share leaves the slices after it
+    // empty; move each cut so every slice keeps at least one document.
+    for (std::size_t r = 1; r < p; ++r) {
+      const std::size_t cut = std::clamp(slices[r].first, slices[r - 1].first + 1, n - (p - r));
+      slices[r - 1].second = cut;
+      slices[r].first = cut;
+    }
+  }
+  for (auto& [begin, end] : slices) {
+    begin += shard.first;
+    end += shard.first;
+  }
+  return slices;
+}
+
 }  // namespace sva::corpus

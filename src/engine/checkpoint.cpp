@@ -1,6 +1,7 @@
 #include "sva/engine/checkpoint.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "sva/util/bytes.hpp"
@@ -221,10 +222,9 @@ IngestCheckpoint load_ingest_checkpoint(ga::Context& ctx, const std::filesystem:
     v->terms.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v->terms.push_back(vocab.str());
     vocab.expect_done();
-    v->term_to_id.reserve(v->terms.size());
-    for (std::size_t i = 0; i < v->terms.size(); ++i) {
-      v->term_to_id.emplace(v->terms[i], static_cast<std::int64_t>(i));
-    }
+    require_format(std::adjacent_find(v->terms.begin(), v->terms.end(),
+                                      std::greater_equal<>()) == v->terms.end(),
+                   "checkpoint: vocabulary is not sorted and duplicate-free");
     out.state.vocabulary = std::move(v);
   }
   {

@@ -7,13 +7,15 @@
 //     index::build_inverted_index);
 //
 //   * ingest_sharded — out-of-core: the corpus is cut into contiguous,
-//     byte-balanced document shards; each shard is scanned and inverted
-//     under a bounded-memory budget, reduced to a compact extract, and
-//     its global arrays dropped; the extracts are merged into the exact
-//     global vocabulary, term statistics and term→record index the
-//     single-pass path computes.  Record ownership follows the
+//     byte-balanced document shards; each shard is scanned by all ranks
+//     (a byte-balanced slice each) and inverted under a bounded-memory
+//     budget, reduced to a compact extract, and its global arrays
+//     dropped; the extracts are merged into the exact global
+//     vocabulary, term statistics and term→record index the single-pass
+//     path computes.  Scanned records move to their owners under the
 //     full-corpus byte partition, so every gathered product (and hence
 //     the EngineResult checksum) is byte-identical for any shard count.
+//     Residency is one shard's raw text at a time, spread over the ranks.
 #pragma once
 
 #include <cstdint>

@@ -502,6 +502,21 @@ class SocketTransport final : public Transport {
   void disconnect() {
     shutting_down_.store(true, std::memory_order_release);
     if (io_thread_.joinable()) {
+      // A rank leaving an aborted world repeats the diagnostic it recorded
+      // ahead of its close.  A peer parses a socket's buffered frames
+      // before its EOF, so it learns the first failure instead of taking
+      // this exit for a death when the thrower's own frame is still in
+      // flight on another socket.
+      if (aborted()) {
+        const std::string text = error_text();
+        const std::vector<std::uint8_t> payload(text.begin(), text.end());
+        const auto frame =
+            wire::make_frame(kAbort, 0, static_cast<std::uint16_t>(my_rank_), 0, payload);
+        for (int q = 0; q < nprocs_; ++q) {
+          if (q != my_rank_) enqueue_frame(q, frame);
+        }
+        wake_io();
+      }
       // Let the farewell frames reach the wire before closing.
       const std::int64_t deadline = now_ms() + 2000;
       while (now_ms() < deadline) {

@@ -9,9 +9,10 @@
 // during the merge, so no rank ever holds more than one decoded shard
 // beyond the final merged products:
 //
-//   pass 1 (vocabulary): union the shard vocabularies, sort them into
+//   pass 1 (vocabulary): k-way merge the sorted shard vocabularies into
 //   the canonical lexicographic order — byte-identical to what a
-//   single-pass scan canonicalizes — and derive per-shard remaps;
+//   single-pass scan canonicalizes — deriving per-shard remaps in the
+//   same walk;
 //
 //   pass 2 (data): accumulate term/document frequencies (each record
 //   lives in exactly one shard, so both are exact sums) and place each

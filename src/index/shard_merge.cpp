@@ -1,7 +1,7 @@
 #include "sva/index/shard_merge.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string_view>
 
 #include "sva/util/bytes.hpp"
 #include "sva/util/error.hpp"
@@ -106,51 +106,30 @@ MergedShards merge_shards(ga::Context& ctx, std::span<const ShardBlobs> blobs,
     ShardExtract::deserialize_vocab(blob, shard_vocabs[s]);
   }
 
-  std::vector<std::string> all_terms;
-  std::vector<std::string> all_fields;
-  for (const auto& sv : shard_vocabs) {
-    all_terms.insert(all_terms.end(), sv.terms.begin(), sv.terms.end());
-    all_fields.insert(all_fields.end(), sv.field_type_names.begin(),
-                      sv.field_type_names.end());
+  // Shard vocabularies are sorted and duplicate-free, so their union is a
+  // k-way merge, and each shard's remap falls out of the same walk.
+  std::vector<std::vector<std::string_view>> term_runs(num_shards);
+  std::vector<std::vector<std::string_view>> field_runs(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    term_runs[s].assign(shard_vocabs[s].terms.begin(), shard_vocabs[s].terms.end());
+    field_runs[s].assign(shard_vocabs[s].field_type_names.begin(),
+                         shard_vocabs[s].field_type_names.end());
   }
-  std::sort(all_terms.begin(), all_terms.end());
-  all_terms.erase(std::unique(all_terms.begin(), all_terms.end()), all_terms.end());
-  std::sort(all_fields.begin(), all_fields.end());
-  all_fields.erase(std::unique(all_fields.begin(), all_fields.end()), all_fields.end());
-
   auto vocabulary = std::make_shared<ga::Vocabulary>();
-  vocabulary->terms = all_terms;
-  vocabulary->term_to_id.reserve(all_terms.size());
-  for (std::size_t i = 0; i < all_terms.size(); ++i) {
-    vocabulary->term_to_id.emplace(all_terms[i], static_cast<std::int64_t>(i));
-  }
-  merged.vocabulary = vocabulary;
-  merged.field_type_names = all_fields;
-
-  std::unordered_map<std::string, std::int32_t> field_ids;
-  for (std::size_t i = 0; i < all_fields.size(); ++i) {
-    field_ids.emplace(all_fields[i], static_cast<std::int32_t>(i));
-  }
-
-  merged.term_remap.resize(num_shards);
+  vocabulary->terms = ga::merge_sorted_runs(term_runs, merged.term_remap);
+  std::vector<std::vector<std::int64_t>> field_remap;
+  merged.field_type_names = ga::merge_sorted_runs(field_runs, field_remap);
   merged.field_type_remap.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    auto& remap = merged.term_remap[s];
-    remap.resize(shard_vocabs[s].terms.size());
-    for (std::size_t t = 0; t < remap.size(); ++t) {
-      remap[t] = vocabulary->id_of(shard_vocabs[s].terms[t]);
-      require(remap[t] >= 0, "merge_shards: shard term missing from union");
-    }
-    auto& fremap = merged.field_type_remap[s];
-    fremap.resize(shard_vocabs[s].field_type_names.size());
-    for (std::size_t f = 0; f < fremap.size(); ++f) {
-      fremap[f] = field_ids.at(shard_vocabs[s].field_type_names[f]);
-    }
-    shard_vocabs[s] = ShardExtract{};  // free the strings
+    merged.field_type_remap[s].assign(field_remap[s].begin(), field_remap[s].end());
   }
+  term_runs.clear();
+  field_runs.clear();
+  shard_vocabs.clear();  // free the strings
+  merged.vocabulary = vocabulary;
 
   // ---- pass 2: statistics + postings ---------------------------------
-  const std::size_t n_terms = all_terms.size();
+  const std::size_t n_terms = vocabulary->size();
   merged.stats.term_frequency = ga::GlobalArray<std::int64_t>::create(
       ctx, std::max<std::size_t>(n_terms, 1));
   merged.stats.doc_frequency = ga::GlobalArray<std::int64_t>::create(

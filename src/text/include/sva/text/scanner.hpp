@@ -10,7 +10,12 @@
 // After the global hashmap is fully populated, the vocabulary is
 // canonicalized (lexicographic IDs) so every downstream product is
 // reproducible independent of the processor count, and the local records
-// are rewritten in canonical IDs.
+// are rewritten in canonical IDs.  (Under the process and socket backends
+// each rank keeps its own terms and the canonicalization merges the
+// ranks' sorted runs; see ga/dist_hashmap.hpp.)
+//
+// The sharded path scans one shard at a time the same way: the shard is
+// cut into one byte-balanced slice per rank, so all ranks scan it.
 #pragma once
 
 #include <cstdint>
@@ -91,13 +96,14 @@ ScanResult scan_sources(ga::Context& ctx, const corpus::SourceSet& sources,
                         const TokenizerConfig& tokenizer_config);
 
 /// Collective: scans one shard [shard.first, shard.second) of `reader`.
-/// Each rank tokenizes the shard documents that fall inside its
-/// *full-corpus* range (`rank_doc_ranges`, from corpus::partition_*), so
-/// record ownership — and therefore every gathered downstream product —
-/// matches what a single-pass scan of the whole corpus produces.  The
-/// returned vocabulary, ids and forward index cover this shard only
-/// (shard-canonical term ids); forward.num_records is the shard's record
-/// count.  Only the shard's documents are materialized.
+/// Each rank tokenizes the documents of its own range in
+/// `rank_doc_ranges`, which must lie inside the shard (corpus::slice_shard
+/// cuts the shard into one byte-balanced slice per rank).  The
+/// returned records are this rank's slice; the caller moves them to
+/// their owners.  The returned vocabulary, ids and forward index cover
+/// this shard only (shard-canonical term ids, independent of the
+/// slicing); forward.num_records is the shard's record count.  Only the
+/// shard's documents are materialized.
 ScanResult scan_shard(ga::Context& ctx, const corpus::CorpusReader& reader,
                       std::pair<std::size_t, std::size_t> shard,
                       const std::vector<std::pair<std::size_t, std::size_t>>& rank_doc_ranges,

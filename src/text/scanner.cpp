@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "sva/text/token_arena.hpp"
+#include "sva/util/error.hpp"
 #include "sva/util/log.hpp"
 
 namespace sva::text {
@@ -93,7 +94,7 @@ ScanResult scan_range(ga::Context& ctx, const corpus::CorpusReader& reader,
       term_map.insert_batch(ctx, std::span<const std::string_view>(new_terms));
 
   // Field-type names go through a (tiny) second distributed map.
-  (void)field_map.insert_batch(ctx, field_names);
+  const std::vector<std::int64_t> field_provisional = field_map.insert_batch(ctx, field_names);
 
   // All inserts must complete before canonicalization.
   ctx.barrier();
@@ -113,7 +114,7 @@ ScanResult scan_range(ga::Context& ctx, const corpus::CorpusReader& reader,
   std::vector<std::int32_t> field_type_canonical(field_names.size());
   for (std::size_t i = 0; i < field_names.size(); ++i) {
     field_type_canonical[i] =
-        static_cast<std::int32_t>(field_final.vocabulary->id_of(field_names[i]));
+        static_cast<std::int32_t>(field_final.remap_id(field_provisional[i]));
   }
 
   for (auto& rec : result.records) {
@@ -220,13 +221,10 @@ ScanResult scan_shard(ga::Context& ctx, const corpus::CorpusReader& reader,
                       std::pair<std::size_t, std::size_t> shard,
                       const std::vector<std::pair<std::size_t, std::size_t>>& rank_doc_ranges,
                       const TokenizerConfig& tokenizer_config) {
-  // This rank scans the intersection of its full-corpus range with the
-  // shard: the shard boundary bounds residency, the global partition
-  // fixes ownership.
-  const auto [rank_begin, rank_end] = rank_doc_ranges[static_cast<std::size_t>(ctx.rank())];
-  const std::size_t begin = std::max(shard.first, rank_begin);
-  const std::size_t end = std::min(shard.second, rank_end);
-  return scan_range(ctx, reader, begin, std::max(begin, end),
+  const auto [begin, end] = rank_doc_ranges[static_cast<std::size_t>(ctx.rank())];
+  require(shard.first <= begin && begin <= end && end <= shard.second,
+          "scan_shard: rank range outside the shard");
+  return scan_range(ctx, reader, begin, end,
                     static_cast<std::uint64_t>(shard.second - shard.first), tokenizer_config);
 }
 

@@ -1,11 +1,14 @@
 // Tests for the distributed hashmap / global vocabulary map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "backend_testutil.hpp"
 #include "sva/ga/dist_hashmap.hpp"
+#include "sva/util/error.hpp"
 
 namespace sva::ga {
 namespace {
@@ -188,6 +191,135 @@ TEST(HashmapTest, OwnerIsStable) {
     EXPECT_GE(o1, 0);
     EXPECT_LT(o1, 4);
   });
+}
+
+// ---- process and socket backends: sorted runs merged at finalize -------
+
+/// What one world produced: the vocabulary and, in rank order, the
+/// canonical ID of every term each rank inserted.
+struct RunOutcome {
+  std::vector<std::string> vocabulary;
+  std::vector<std::int64_t> canonical;
+};
+
+/// Rank `rank`'s two insert_batch calls: duplicates within a batch and
+/// across the calls, byte-order edge terms, and ranks with empty batches.
+std::vector<std::vector<std::string>> batches_of(int rank) {
+  const std::string own = "r" + std::to_string(rank);
+  const std::string nul("a\0", 2);
+  std::vector<std::string> first = {"ab", "a", "a\xff", "", nul, "a", "shared", own, "ab"};
+  std::vector<std::string> second = {"shared", "a", own + "_2", "zz", "zz"};
+  if (rank % 3 == 1) first.clear();
+  if (rank % 3 == 2) second.clear();
+  return {first, second};
+}
+
+RunOutcome run_batches(Backend backend, int nprocs) {
+  RunOutcome out;
+  SpmdOptions world;
+  world.nprocs = nprocs;
+  world.backend = backend;
+  spmd_run(world, [&](Context& ctx) {
+    auto map = DistHashmap::create(ctx);
+    std::vector<std::string> inserted;
+    std::vector<std::int64_t> provisional;
+    for (const auto& batch : batches_of(ctx.rank())) {
+      const auto ids = map.insert_batch(ctx, batch);
+      inserted.insert(inserted.end(), batch.begin(), batch.end());
+      provisional.insert(provisional.end(), ids.begin(), ids.end());
+    }
+    ctx.barrier();  // the thread backend's inserts must land before finalize
+    const auto fin = map.finalize(ctx);
+    const auto& terms = fin.vocabulary->terms;
+    require(std::adjacent_find(terms.begin(), terms.end(), std::greater_equal<>()) ==
+                terms.end(),
+            "vocabulary not sorted and duplicate-free");
+    std::vector<std::int64_t> canonical;
+    for (std::size_t i = 0; i < inserted.size(); ++i) {
+      const std::int64_t c = fin.remap_id(provisional[i]);
+      require(c >= 0 && static_cast<std::size_t>(c) < terms.size() &&
+                  terms[static_cast<std::size_t>(c)] == inserted[i],
+              "remap sends a term to another term's canonical ID");
+      require(fin.vocabulary->id_of(inserted[i]) == c, "id_of disagrees with the remap");
+      canonical.push_back(c);
+    }
+    const auto all = ctx.allgatherv(std::span<const std::int64_t>(canonical));
+    if (ctx.rank() == 0) {
+      out.vocabulary = terms;
+      out.canonical = all;
+    }
+  });
+  return out;
+}
+
+class ReplicatedHashmapTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void SetUp() override {
+    if (!sva::testutil::process_backend_supported()) {
+      GTEST_SKIP() << "process and socket backends require Linux without TSan";
+    }
+  }
+};
+
+TEST_P(ReplicatedHashmapTest, VocabularyAndRemapsMatchTheThreadBackend) {
+  for (const int nprocs : {1, 2, 3, 4}) {
+    const RunOutcome want = run_batches(Backend::kThread, nprocs);
+    const RunOutcome got = run_batches(GetParam(), nprocs);
+    EXPECT_EQ(got.vocabulary, want.vocabulary) << "P=" << nprocs;
+    EXPECT_EQ(got.canonical, want.canonical) << "P=" << nprocs;
+  }
+  // Byte order: "" < "a" < "a\0" < "ab" < "a\xff" (unsigned bytes).
+  const RunOutcome one = run_batches(GetParam(), 1);
+  const std::vector<std::string> head = {"", "a", std::string("a\0", 2), "ab", "a\xff"};
+  ASSERT_GE(one.vocabulary.size(), head.size());
+  EXPECT_EQ(std::vector<std::string>(one.vocabulary.begin(), one.vocabulary.begin() + 5), head);
+}
+
+TEST_P(ReplicatedHashmapTest, FindAndSizeEstimateNeedTheSharedMap) {
+  SpmdOptions world;
+  world.nprocs = 2;
+  world.backend = GetParam();
+  spmd_run(world, [](Context& ctx) {
+    auto map = DistHashmap::create(ctx);
+    (void)map.insert_batch(ctx, std::vector<std::string>{"alpha"});
+    const auto names_call = [](const ProtocolError& e, const char* call) {
+      require(std::string(e.what()).find(call) != std::string::npos,
+              std::string("ProtocolError does not name ") + call + ": " + e.what());
+    };
+    try {
+      (void)map.find(ctx, "alpha");
+      require(false, "find answered from a partial map");
+    } catch (const ProtocolError& e) {
+      names_call(e, "find");
+    }
+    try {
+      (void)map.size_estimate();
+      require(false, "size_estimate answered from a partial map");
+    } catch (const ProtocolError& e) {
+      names_call(e, "size_estimate");
+    }
+    require(map.finalize(ctx).vocabulary->size() == 1, "finalize after the rejected calls");
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ReplicatedHashmapTest,
+                         ::testing::Values(Backend::kProcess, Backend::kSocket),
+                         [](const auto& info) { return backend_name(info.param); });
+
+TEST(MergeSortedRunsTest, UnionsRunsAndMapsEveryEntry) {
+  const std::vector<std::vector<std::string_view>> runs = {
+      {"b", "d", "f"}, {}, {"a", "b", "z"}, {"d"}};
+  std::vector<std::vector<std::int64_t>> positions;
+  const auto merged = merge_sorted_runs(runs, positions);
+  EXPECT_EQ(merged, (std::vector<std::string>{"a", "b", "d", "f", "z"}));
+  const std::vector<std::vector<std::int64_t>> want = {{1, 2, 3}, {}, {0, 1, 4}, {2}};
+  EXPECT_EQ(positions, want);
+}
+
+TEST(MergeSortedRunsTest, RejectsAnUnsortedRun) {
+  const std::vector<std::vector<std::string_view>> runs = {{"b", "a"}};
+  std::vector<std::vector<std::int64_t>> positions;
+  EXPECT_THROW((void)merge_sorted_runs(runs, positions), InvalidArgument);
 }
 
 }  // namespace

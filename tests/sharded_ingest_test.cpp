@@ -9,12 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "backend_testutil.hpp"
 #include "sva/corpus/generator.hpp"
 #include "sva/corpus/reader.hpp"
 #include "sva/engine/digest.hpp"
 #include "sva/engine/engine.hpp"
 #include "sva/engine/ingest.hpp"
 #include "sva/engine/pipeline.hpp"
+#include "sva/util/error.hpp"
 
 namespace sva::engine {
 namespace {
@@ -115,61 +117,161 @@ TEST(ReaderTest, PlanShardsHonorsMemoryBudget) {
   }
 }
 
-// ---- merged stage-1-2 products ----------------------------------------
-
-TEST(ShardedIngestTest, MergedProductsMatchSinglePass) {
-  const auto sources = corpus::generate_corpus(small_spec(corpus::CorpusKind::kPubMedLike));
+TEST(ReaderTest, SliceShardGivesEveryRankAShareOfEveryShard) {
+  const auto sources = corpus::generate_corpus(small_spec(corpus::CorpusKind::kTrecLike));
   const corpus::InMemoryReader reader(sources);
-  const EngineConfig config = small_config();
-
-  ga::spmd_run(2, [&](ga::Context& ctx) {
-    ga::StageTimer timer_a(ctx);
-    IngestState single =
-        ingest_single_pass(ctx, sources, config.tokenizer, config.indexing, timer_a);
-    ga::StageTimer timer_b(ctx);
-    IngestState sharded = ingest_sharded(ctx, reader, config.tokenizer, config.indexing,
-                                         {.num_shards = 3}, timer_b);
-
-    ASSERT_EQ(sharded.shards_used, 3u);
-    EXPECT_EQ(sharded.num_records, single.num_records);
-    EXPECT_EQ(sharded.num_terms, single.num_terms);
-    EXPECT_EQ(sharded.total_term_occurrences, single.total_term_occurrences);
-    EXPECT_EQ(sharded.vocabulary->terms, single.vocabulary->terms);
-    EXPECT_EQ(sharded.field_type_names, single.field_type_names);
-
-    // Per-rank record streams (ownership follows the same partition).
-    ASSERT_EQ(sharded.records.size(), single.records.size());
-    for (std::size_t i = 0; i < single.records.size(); ++i) {
-      EXPECT_EQ(sharded.records[i].doc_id, single.records[i].doc_id);
-      EXPECT_EQ(sharded.records[i].raw_bytes, single.records[i].raw_bytes);
-      ASSERT_EQ(sharded.records[i].fields.size(), single.records[i].fields.size());
-      for (std::size_t f = 0; f < single.records[i].fields.size(); ++f) {
-        EXPECT_EQ(sharded.records[i].fields[f].type, single.records[i].fields[f].type);
-        EXPECT_EQ(sharded.records[i].fields[f].terms, single.records[i].fields[f].terms);
+  const auto sizes = reader.doc_sizes();
+  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+    for (const int nprocs : {1, 2, 3, 4, 8}) {
+      for (const auto& shard : corpus::plan_shards(reader, {.num_shards = shards})) {
+        const auto slices = corpus::slice_shard(sizes, shard, nprocs);
+        ASSERT_EQ(slices.size(), static_cast<std::size_t>(nprocs));
+        EXPECT_EQ(slices.front().first, shard.first);
+        EXPECT_EQ(slices.back().second, shard.second);
+        for (std::size_t r = 0; r < slices.size(); ++r) {
+          if (r > 0) {
+            EXPECT_EQ(slices[r].first, slices[r - 1].second);
+          }
+          if (shard.second - shard.first >= static_cast<std::size_t>(nprocs)) {
+            EXPECT_LT(slices[r].first, slices[r].second)
+                << "rank " << r << " idle in shard [" << shard.first << ", " << shard.second
+                << ") at P=" << nprocs;
+          }
+        }
       }
     }
+  }
+  // A document larger than a byte share still leaves every rank a slice.
+  const std::vector<std::size_t> skewed = {5, 1000, 1, 1, 1, 1};
+  const auto slices = corpus::slice_shard(skewed, {1, 6}, 4);
+  ASSERT_EQ(slices.size(), 4u);
+  for (std::size_t r = 0; r < slices.size(); ++r) {
+    EXPECT_EQ(slices[r].first, 1 + r);
+    EXPECT_EQ(slices[r].second, r == 3 ? 6 : 2 + r);
+  }
+  // Fewer documents than ranks: the slices still cover the shard in order.
+  const auto few = corpus::slice_shard(skewed, {2, 4}, 4);
+  ASSERT_EQ(few.size(), 4u);
+  EXPECT_EQ(few.front().first, 2u);
+  EXPECT_EQ(few.back().second, 4u);
+}
 
-    // Exact global term statistics.
-    EXPECT_EQ(sharded.stats.term_frequency.to_vector(ctx),
-              single.stats.term_frequency.to_vector(ctx));
-    EXPECT_EQ(sharded.stats.doc_frequency.to_vector(ctx),
-              single.stats.doc_frequency.to_vector(ctx));
+// ---- merged stage-1-2 products ----------------------------------------
 
-    // Merged term→record postings.
-    EXPECT_EQ(sharded.index.total_record_postings, single.index.total_record_postings);
-    EXPECT_EQ(sharded.index.record_offsets.to_vector(ctx),
-              single.index.record_offsets.to_vector(ctx));
-    EXPECT_EQ(sharded.index.record_postings.to_vector(ctx),
-              single.index.record_postings.to_vector(ctx));
+/// The generated corpus plus one large document and three large
+/// token-free ones, so some shard plans hold a shard with fewer documents
+/// than ranks and a shard whose documents hold no tokens.
+corpus::SourceSet edge_corpus() {
+  auto sources = corpus::generate_corpus(small_spec(corpus::CorpusKind::kPubMedLike));
+  const std::size_t width = sources.total_bytes() / 3;
+  std::string text;
+  for (std::size_t i = 0; text.size() < width; ++i) {
+    text += sources[i % sources.size()].fields.back().text + " ";
+  }
+  sources.add({.id = sources.size(), .fields = {{"TI", "sharded edge"}, {"AB", text}}});
+  for (int i = 0; i < 3; ++i) {
+    sources.add({.id = sources.size(), .fields = {{"NOTE", std::string(width, '.')}}});
+  }
+  return sources;
+}
 
-    // Merged forward product.
-    EXPECT_EQ(sharded.forward.num_fields, single.forward.num_fields);
-    EXPECT_EQ(sharded.forward.total_terms, single.forward.total_terms);
-    EXPECT_EQ(sharded.forward.field_terms.to_vector(ctx),
-              single.forward.field_terms.to_vector(ctx));
-    EXPECT_EQ(sharded.forward.field_record.to_vector(ctx),
-              single.forward.field_record.to_vector(ctx));
-  });
+/// Collective: ingests `sources` single-pass and sharded, and throws
+/// (sva::require) at the first product that differs.  Throwing instead of
+/// EXPECTing keeps the check alive in the forked ranks of the process and
+/// socket backends.
+void check_sharded_matches_single_pass(ga::Context& ctx, const corpus::SourceSet& sources,
+                                       std::size_t shards) {
+  const corpus::InMemoryReader reader(sources);
+  const EngineConfig config = small_config();
+  const std::string where =
+      " (P=" + std::to_string(ctx.nprocs()) + ", shards=" + std::to_string(shards) + ")";
+  const auto check = [&](bool same, const char* what) { require(same, what + where); };
+
+  ga::StageTimer timer_a(ctx);
+  IngestState single =
+      ingest_single_pass(ctx, sources, config.tokenizer, config.indexing, timer_a);
+  ga::StageTimer timer_b(ctx);
+  IngestState sharded = ingest_sharded(ctx, reader, config.tokenizer, config.indexing,
+                                       {.num_shards = shards}, timer_b);
+
+  check(sharded.shards_used == shards, "shard count");
+  check(sharded.num_records == single.num_records, "record count");
+  check(sharded.num_terms == single.num_terms, "term count");
+  check(sharded.total_term_occurrences == single.total_term_occurrences, "occurrences");
+  check(sharded.vocabulary->terms == single.vocabulary->terms, "vocabulary");
+  check(sharded.field_type_names == single.field_type_names, "field types");
+
+  // Per-rank record streams (ownership follows the same partition).
+  check(sharded.records.size() == single.records.size(), "records on this rank");
+  for (std::size_t i = 0; i < single.records.size(); ++i) {
+    const auto& a = sharded.records[i];
+    const auto& b = single.records[i];
+    check(a.doc_id == b.doc_id && a.raw_bytes == b.raw_bytes, "record header");
+    check(a.fields.size() == b.fields.size(), "record field count");
+    for (std::size_t f = 0; f < b.fields.size(); ++f) {
+      check(a.fields[f].type == b.fields[f].type, "field type");
+      check(a.fields[f].terms == b.fields[f].terms, "field terms");
+    }
+  }
+
+  // Gathered products: exact statistics, merged postings, forward CSR.
+  const auto check_array = [&](const auto& a, const auto& b, const char* what) {
+    check(a.to_vector(ctx) == b.to_vector(ctx), what);
+  };
+  check_array(sharded.stats.term_frequency, single.stats.term_frequency, "term frequencies");
+  check_array(sharded.stats.doc_frequency, single.stats.doc_frequency, "doc frequencies");
+  check(sharded.index.total_record_postings == single.index.total_record_postings, "postings");
+  check_array(sharded.index.record_offsets, single.index.record_offsets, "posting offsets");
+  check_array(sharded.index.record_postings, single.index.record_postings, "postings");
+  check(sharded.forward.num_fields == single.forward.num_fields, "forward fields");
+  check(sharded.forward.total_terms == single.forward.total_terms, "forward term count");
+  check_array(sharded.forward.field_terms, single.forward.field_terms, "forward terms");
+  check_array(sharded.forward.field_record, single.forward.field_record, "forward records");
+  // No rank may drop its arrays while a peer still reads them one-sidedly.
+  ctx.barrier();
+}
+
+void check_backend(ga::Backend backend) {
+  const corpus::SourceSet sources = edge_corpus();
+  for (const int nprocs : {2, 3, 4}) {
+    for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+      ga::SpmdOptions world;
+      world.nprocs = nprocs;
+      world.backend = backend;
+      ga::spmd_run(world, [&](ga::Context& ctx) {
+        check_sharded_matches_single_pass(ctx, sources, shards);
+      });
+    }
+  }
+}
+
+TEST(ShardedIngestTest, EdgeCorpusHasSmallAndTokenFreeShards) {
+  const corpus::SourceSet sources = edge_corpus();
+  const corpus::InMemoryReader reader(sources);
+  const auto plan = corpus::plan_shards(reader, {.num_shards = 7});
+  const std::size_t token_free_begin = sources.size() - 3;
+  bool small = false;
+  bool token_free = false;
+  for (const auto& [begin, end] : plan) {
+    small = small || (end > begin && end - begin < 2);
+    token_free = token_free || (end > begin && begin >= token_free_begin);
+  }
+  EXPECT_TRUE(small) << "no shard holds fewer documents than P=2 ranks";
+  EXPECT_TRUE(token_free) << "no shard is token-free";
+}
+
+TEST(ShardedIngestTest, MergedProductsMatchSinglePass) {
+  check_backend(ga::Backend::kThread);
+}
+
+TEST(ShardedIngestTest, MergedProductsMatchSinglePassOnProcesses) {
+  SVA_REQUIRE_PROCESS_BACKEND();
+  check_backend(ga::Backend::kProcess);
+}
+
+TEST(ShardedIngestTest, MergedProductsMatchSinglePassOnSockets) {
+  SVA_REQUIRE_SOCKET_BACKEND();
+  check_backend(ga::Backend::kSocket);
 }
 
 // ---- the acceptance invariant -----------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <system_error>
@@ -16,11 +17,20 @@ namespace sva::testing {
 
 namespace detail {
 
+/// The temp dir: TEST_TMPDIR, else TMPDIR, else gtest's TempDir().  Some
+/// gtest runtimes read only TEST_TMPDIR, so TMPDIR is checked here.
+inline std::filesystem::path temp_base() {
+  for (const char* var : {"TEST_TMPDIR", "TMPDIR"}) {
+    const char* dir = std::getenv(var);
+    if (dir != nullptr && *dir != '\0') return dir;
+  }
+  return ::testing::TempDir();
+}
+
 /// `<temp dir>/sva_<pid>_<role>`.  Short on purpose: Unix socket paths
 /// made under it must fit sun_path's 108 bytes even under a long TMPDIR.
 inline std::filesystem::path temp_root(const char* role) {
-  return std::filesystem::path(::testing::TempDir()) /
-         ("sva_" + std::to_string(::getpid()) + "_" + role);
+  return temp_base() / ("sva_" + std::to_string(::getpid()) + "_" + role);
 }
 
 /// Removes the test directory when each test ends (a process runs its
